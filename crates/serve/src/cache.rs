@@ -1,4 +1,4 @@
-//! The content-addressed verdict cache (DESIGN.md §9a).
+//! The content-addressed verdict cache (DESIGN.md §9).
 //!
 //! Every analysis the daemon serves — a Layer-2/3/4 verdict, a repair
 //! certificate, a trace report — is a pure function of the request's

@@ -1,15 +1,15 @@
-//! The retrying client: shard-aware pooling and failover, exponential
-//! backoff with decorrelated jitter, and an idempotency-aware retry
-//! policy.
+//! The retrying client: connection pooling and multi-address failover,
+//! exponential backoff with decorrelated jitter, and an
+//! idempotency-aware retry policy.
 //!
-//! Retry rules (see DESIGN.md §7 and §9):
+//! Retry rules (see DESIGN.md §7):
 //!
 //! * `overloaded` — always retryable: the daemon sheds *before* any
 //!   work, so nothing happened. The server's `retry_after_ms` hint is
 //!   honored as the backoff floor.
 //! * Connect failures — always retryable, for every op: the request
 //!   never left this process. They surface as the typed
-//!   [`ClientError::Connect`] carrying the offending shard address.
+//!   [`ClientError::Connect`] carrying the offending daemon address.
 //! * Post-connect transport errors (torn response, mid-line EOF,
 //!   connection reset) — retryable only for idempotent ops. Every
 //!   analysis op is a pure read, so all built-in ops except `shutdown`
@@ -19,9 +19,9 @@
 //!   `io_error`, `internal_error`, `deadline_exceeded`,
 //!   `shutting_down`) — final: retrying cannot change the outcome.
 //!
-//! A client may hold **several shard addresses** (`Client::new`
+//! A client may hold **several daemon addresses** (`Client::new`
 //! accepts a comma-separated list); each transport failure rotates to
-//! the next address, so a dead shard only costs the attempts it eats.
+//! the next address, so a dead daemon only costs the attempts it eats.
 //! Idempotent calls reuse pooled connections ([`crate::pool`]); a
 //! failure on a pooled connection is retried once on a fresh one before
 //! counting as a real attempt failure, because the pooled socket may
@@ -71,8 +71,8 @@ impl Default for RetryPolicy {
 /// Why a call ultimately failed.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Could not connect to a shard (after retries). Carries the
-    /// offending address so a fleet operator knows *which* shard is
+    /// Could not connect to a daemon (after retries). Carries the
+    /// offending address so an operator knows *which* daemon is
     /// unreachable, not just that something io-failed.
     Connect {
         /// The address that refused or timed out.
@@ -92,7 +92,7 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Connect { addr, source } => {
-                write!(f, "cannot connect to shard at {addr}: {source}")
+                write!(f, "cannot connect to daemon at {addr}: {source}")
             }
             Self::Io(e) => write!(f, "transport error: {e}"),
             Self::Protocol(msg) => write!(f, "protocol error: {msg}"),
@@ -103,7 +103,7 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A client for one daemon — or one fleet of shards. Idempotent calls
+/// A client for one daemon, or several to fail over across. Idempotent calls
 /// reuse pooled connections; everything else dials fresh, so a torn
 /// connection never poisons later calls.
 pub struct Client {
@@ -117,7 +117,7 @@ pub struct Client {
 
 impl Client {
     /// A client with the default retry policy. `addr` may be a single
-    /// address or a comma-separated list of shard addresses to fail
+    /// address or a comma-separated list of daemon addresses to fail
     /// over across.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
@@ -170,7 +170,7 @@ impl Client {
     }
 
     /// Issues `op` and returns the `result` value, retrying per policy
-    /// and failing over across shard addresses on transport errors.
+    /// and failing over across daemon addresses on transport errors.
     ///
     /// # Errors
     ///
@@ -207,7 +207,7 @@ impl Client {
                         Ok(result) => return Ok(result),
                         Err(body) if body.code.request_not_started() => {
                             // `overloaded` / `shutting_down`: no work
-                            // happened; another shard (or a later try)
+                            // happened; another daemon (or a later try)
                             // may accept. Rotate and retry.
                             self.rotate();
                             last_error = ClientError::Server(body);
@@ -244,7 +244,7 @@ impl Client {
         }
     }
 
-    /// Advances to the next shard address (no-op for a single address).
+    /// Advances to the next daemon address (no-op for a single address).
     fn rotate(&mut self) {
         self.cursor = (self.cursor + 1) % self.addrs.len();
     }

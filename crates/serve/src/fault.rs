@@ -33,13 +33,6 @@ pub struct FaultPlan {
     /// Probability in `[0, 1]` that a response write is torn: only a
     /// prefix of the bytes is written and the connection is closed.
     pub torn_write_prob: f64,
-    /// Probability in `[0, 1]` that the whole process dies abruptly
-    /// mid-response: a prefix of the bytes is written, then the process
-    /// exits without unwinding — the deterministic stand-in for a
-    /// SIGKILLed shard. Only meaningful when the daemon runs as its own
-    /// process (in-process test servers would take the harness with
-    /// them).
-    pub kill_prob: f64,
 }
 
 impl FaultPlan {
@@ -52,21 +45,17 @@ impl FaultPlan {
             delay_prob: 0.0,
             delay: Duration::ZERO,
             torn_write_prob: 0.0,
-            kill_prob: 0.0,
         }
     }
 
     /// True when no fault can ever fire.
     #[must_use]
     pub fn is_none(&self) -> bool {
-        self.panic_prob <= 0.0
-            && self.delay_prob <= 0.0
-            && self.torn_write_prob <= 0.0
-            && self.kill_prob <= 0.0
+        self.panic_prob <= 0.0 && self.delay_prob <= 0.0 && self.torn_write_prob <= 0.0
     }
 
     /// Parses a compact spec like
-    /// `seed=7,panic=0.02,delay=0.05:20,torn=0.02,kill=0.01` where
+    /// `seed=7,panic=0.02,delay=0.05:20,torn=0.02` where
     /// `delay`'s second field is the injected delay in milliseconds.
     ///
     /// # Errors
@@ -87,7 +76,6 @@ impl FaultPlan {
                 }
                 "panic" => plan.panic_prob = parse_prob("panic", value)?,
                 "torn" => plan.torn_write_prob = parse_prob("torn", value)?,
-                "kill" => plan.kill_prob = parse_prob("kill", value)?,
                 "delay" => {
                     let (prob, ms) = value
                         .split_once(':')
@@ -192,26 +180,6 @@ impl FaultInjector {
             }
         })
     }
-
-    /// Rolls the abrupt-death fault for one response of `response_len`
-    /// bytes: `Some(keep)` means write `keep` bytes (strictly fewer than
-    /// `response_len`) and then kill the whole process without
-    /// unwinding, `None` lives on. The caller performs the exit; this
-    /// only decides.
-    #[must_use]
-    pub fn roll_kill(&self, response_len: usize) -> Option<usize> {
-        if self.plan.kill_prob <= 0.0 {
-            return None;
-        }
-        let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-        (rng.random::<f64>() < self.plan.kill_prob).then(|| {
-            if response_len <= 1 {
-                0
-            } else {
-                rng.random_range(0..response_len)
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -220,17 +188,14 @@ mod tests {
 
     #[test]
     fn spec_parses_every_clause() {
-        let plan = FaultPlan::parse("seed=7,panic=0.25,delay=0.5:20,torn=0.1,kill=0.05").unwrap();
+        let plan = FaultPlan::parse("seed=7,panic=0.25,delay=0.5:20,torn=0.1").unwrap();
         assert_eq!(plan.seed, 7);
         assert!((plan.panic_prob - 0.25).abs() < 1e-12);
         assert!((plan.delay_prob - 0.5).abs() < 1e-12);
         assert_eq!(plan.delay, Duration::from_millis(20));
         assert!((plan.torn_write_prob - 0.1).abs() < 1e-12);
-        assert!((plan.kill_prob - 0.05).abs() < 1e-12);
         assert!(!plan.is_none());
         assert!(FaultPlan::parse("").unwrap().is_none());
-        // A kill-only plan is still a plan.
-        assert!(!FaultPlan::parse("kill=0.5").unwrap().is_none());
     }
 
     #[test]
@@ -239,31 +204,30 @@ mod tests {
         assert!(FaultPlan::parse("panic=2.0").is_err());
         assert!(FaultPlan::parse("delay=0.5").is_err());
         assert!(FaultPlan::parse("delay=0.5:abc").is_err());
-        assert!(FaultPlan::parse("kill=-0.1").is_err());
         assert!(FaultPlan::parse("volts=9").is_err());
+        // No fault takes the whole process down: `kill` is not a key.
+        let err = FaultPlan::parse("kill=0.1").unwrap_err();
+        assert!(err.contains("\"kill\""), "{err}");
     }
 
     #[test]
     fn rolls_are_deterministic_per_seed_and_respect_probabilities() {
-        let plan = FaultPlan::parse("seed=11,panic=0.5,delay=0.5:5,torn=0.5,kill=0.5").unwrap();
+        let plan = FaultPlan::parse("seed=11,panic=0.5,delay=0.5:5,torn=0.5").unwrap();
         let a = FaultInjector::new(plan);
         let b = FaultInjector::new(plan);
         let rolls_a: Vec<_> = (0..200)
-            .map(|_| (a.roll_handler(), a.roll_torn_write(100), a.roll_kill(100)))
+            .map(|_| (a.roll_handler(), a.roll_torn_write(100)))
             .collect();
         let rolls_b: Vec<_> = (0..200)
-            .map(|_| (b.roll_handler(), b.roll_torn_write(100), b.roll_kill(100)))
+            .map(|_| (b.roll_handler(), b.roll_torn_write(100)))
             .collect();
         assert_eq!(rolls_a, rolls_b);
-        // With p=0.5 each, all four faults fire at least once in 200 rolls.
-        assert!(rolls_a.iter().any(|(h, _, _)| h.panic));
-        assert!(rolls_a.iter().any(|(h, _, _)| h.delay.is_some()));
-        let torn: Vec<usize> = rolls_a.iter().filter_map(|(_, t, _)| *t).collect();
+        // With p=0.5 each, all three faults fire at least once in 200 rolls.
+        assert!(rolls_a.iter().any(|(h, _)| h.panic));
+        assert!(rolls_a.iter().any(|(h, _)| h.delay.is_some()));
+        let torn: Vec<usize> = rolls_a.iter().filter_map(|(_, t)| *t).collect();
         assert!(!torn.is_empty());
         assert!(torn.iter().all(|&k| k < 100));
-        let kills: Vec<usize> = rolls_a.iter().filter_map(|(_, _, k)| *k).collect();
-        assert!(!kills.is_empty());
-        assert!(kills.iter().all(|&k| k < 100));
     }
 
     #[test]
@@ -272,19 +236,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(inj.roll_handler(), HandlerFault::clean());
             assert_eq!(inj.roll_torn_write(64), None);
-            assert_eq!(inj.roll_kill(64), None);
-        }
-    }
-
-    #[test]
-    fn kill_keep_bytes_are_a_strict_prefix() {
-        let plan = FaultPlan::parse("seed=3,kill=1.0").unwrap();
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.roll_kill(0), Some(0));
-        assert_eq!(inj.roll_kill(1), Some(0));
-        for len in [2usize, 10, 1000] {
-            let keep = inj.roll_kill(len).unwrap_or(len);
-            assert!(keep < len, "keep {keep} must be < {len}");
         }
     }
 }

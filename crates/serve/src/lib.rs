@@ -40,12 +40,9 @@ pub mod cache;
 pub mod client;
 pub mod digest;
 pub mod fault;
-pub mod fleet;
 pub mod pool;
 pub mod protocol;
 pub mod queue;
-pub mod ring;
-pub mod router;
 pub mod server;
 pub mod stat;
 
@@ -53,9 +50,6 @@ pub use cache::VerdictCache;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use digest::request_digest;
 pub use fault::{FaultInjector, FaultPlan};
-pub use fleet::{FleetConfig, ShardHealth, ShardInfo, ShardSet, Supervisor};
 pub use pool::ConnPool;
 pub use protocol::{ErrorBody, ErrorCode, GeometrySpec, Request, Response, PROTOCOL_VERSION};
-pub use ring::HashRing;
-pub use router::{Router, RouterConfig, RouterShutdown};
 pub use server::{Server, ServerConfig, ShutdownHandle};

@@ -1,11 +1,9 @@
-//! A shard-aware connection pool for the retrying client and the
-//! fleet router.
+//! A per-address connection pool for the retrying client.
 //!
-//! Opening a TCP connection per request is correct but wasteful once a
-//! router sits between clients and shards: the router would pay a
-//! connect round-trip per forwarded request. The pool keeps a small
-//! number of idle connections per shard address and hands them back out
-//! in LIFO order (the most recently used connection is the least likely
+//! Opening a TCP connection per request is correct but wasteful: every
+//! call would pay a connect round-trip. The pool keeps a small number
+//! of idle connections per daemon address and hands them back out in
+//! LIFO order (the most recently used connection is the least likely
 //! to have been reaped by the peer).
 //!
 //! The pool is deliberately dumb about liveness: a checked-out
@@ -26,8 +24,8 @@ pub const DEFAULT_PER_ADDR: usize = 4;
 
 /// A bounded per-address pool of idle TCP connections.
 ///
-/// Thread-safe: the router checks connections in and out from many
-/// connection threads at once.
+/// Thread-safe: connections may be checked in and out from many
+/// threads at once.
 pub struct ConnPool {
     per_addr: usize,
     idle: Mutex<HashMap<String, Vec<TcpStream>>>,

@@ -361,8 +361,7 @@ fn spawn_tcp_conn(
     let handle = thread::spawn(move || {
         shared.metrics.count("serve.connections", 1);
         // Request/response lines are small; Nagle + delayed ACK would
-        // stall pipelined peers (the fleet router above all) ~40ms per
-        // exchange.
+        // stall pipelined peers ~40ms per exchange.
         let _ = stream.set_nodelay(true);
         if stream.set_read_timeout(Some(READ_POLL)).is_err() {
             return;
@@ -693,16 +692,6 @@ fn write_response<W: Write>(writer: &mut W, response: &Response, shared: &Arc<Sh
     let mut line = response.to_json();
     line.push('\n');
     let bytes = line.as_bytes();
-    if let Some(keep) = shared.injector.roll_kill(bytes.len()) {
-        // Abrupt death mid-response: write a prefix, then die without
-        // unwinding — indistinguishable from a SIGKILLed shard to the
-        // peer. Only reachable when a kill probability was configured,
-        // which the daemon binary accepts but in-process servers never
-        // set.
-        let _ = writer.write_all(&bytes[..keep]);
-        let _ = writer.flush();
-        std::process::exit(9);
-    }
     if let Some(keep) = shared.injector.roll_torn_write(bytes.len()) {
         shared.metrics.count("serve.faults.torn_write", 1);
         let _ = writer.write_all(&bytes[..keep]);

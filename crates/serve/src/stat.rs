@@ -83,26 +83,6 @@ pub fn render_summary(status: &Value) -> String {
             field_u64(spans, "finished").unwrap_or(0),
         ));
     }
-    if let Some(Value::Arr(shards)) = status.get("shards") {
-        out.push_str("  shards:\n");
-        for shard in shards {
-            let health = match shard.get("health") {
-                Some(Value::Str(h)) => h.clone(),
-                _ => "unknown".to_string(),
-            };
-            let addr = match shard.get("addr") {
-                Some(Value::Str(a)) => a.clone(),
-                _ => "-".to_string(),
-            };
-            out.push_str(&format!(
-                "    shard {:<3} {:<11} {:<22} restarts {}\n",
-                field_u64(shard, "index").unwrap_or(0),
-                health,
-                addr,
-                field_u64(shard, "restarts").unwrap_or(0),
-            ));
-        }
-    }
     let ops = obj_fields(status.get("ops"));
     if !ops.is_empty() {
         out.push_str("  per-op latency (rolling window, microseconds):\n");
@@ -194,29 +174,6 @@ pub fn render_prom(status: &Value) -> String {
                 "# TYPE {name} counter\n{name} {}\n",
                 field_u64(spans, key).unwrap_or(0)
             ));
-        }
-    }
-    // Per-shard health families (router status only): one labelled
-    // series per shard slot.
-    if let Some(Value::Arr(shards)) = status.get("shards") {
-        if !shards.is_empty() {
-            out.push_str("# TYPE vcache_serve_shard_up gauge\n");
-            for shard in shards {
-                let up = matches!(shard.get("health"), Some(Value::Str(h)) if h == "live");
-                out.push_str(&format!(
-                    "vcache_serve_shard_up{{shard=\"{}\"}} {}\n",
-                    field_u64(shard, "index").unwrap_or(0),
-                    u64::from(up)
-                ));
-            }
-            out.push_str("# TYPE vcache_serve_shard_restarts_total counter\n");
-            for shard in shards {
-                out.push_str(&format!(
-                    "vcache_serve_shard_restarts_total{{shard=\"{}\"}} {}\n",
-                    field_u64(shard, "index").unwrap_or(0),
-                    field_u64(shard, "restarts").unwrap_or(0)
-                ));
-            }
         }
     }
     let Some(snapshot) = snapshot_from_status(status) else {
@@ -341,57 +298,6 @@ mod tests {
         assert!(text.contains("vcache_serve_latency_us_ping_bucket{le=\"+Inf\"} 10\n"));
         assert!(text.contains("vcache_serve_latency_us_ping_sum 4321\n"));
         assert!(text.contains("vcache_serve_requests_total 10\n"));
-    }
-
-    fn router_status() -> Value {
-        let Value::Obj(mut fields) = sample_status() else {
-            unreachable!("sample_status is an object");
-        };
-        fields.push((
-            "shards".into(),
-            Value::Arr(vec![
-                Value::Obj(vec![
-                    ("index".into(), Value::U64(0)),
-                    ("addr".into(), Value::Str("127.0.0.1:9000".into())),
-                    ("pid".into(), Value::U64(42)),
-                    ("health".into(), Value::Str("live".into())),
-                    ("restarts".into(), Value::U64(0)),
-                ]),
-                Value::Obj(vec![
-                    ("index".into(), Value::U64(1)),
-                    ("addr".into(), Value::Null),
-                    ("pid".into(), Value::Null),
-                    ("health".into(), Value::Str("restarting".into())),
-                    ("restarts".into(), Value::U64(3)),
-                ]),
-            ]),
-        ));
-        Value::Obj(fields)
-    }
-
-    #[test]
-    fn shard_health_renders_in_both_formats() {
-        let status = router_status();
-        let text = render_summary(&status);
-        assert!(text.contains("shards:"), "{text}");
-        assert!(text.contains("live"), "{text}");
-        assert!(text.contains("127.0.0.1:9000"), "{text}");
-        assert!(text.contains("restarts 3"), "{text}");
-        let prom = render_prom(&status);
-        assert!(
-            prom.contains("vcache_serve_shard_up{shard=\"0\"} 1\n"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("vcache_serve_shard_up{shard=\"1\"} 0\n"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("vcache_serve_shard_restarts_total{shard=\"1\"} 3\n"),
-            "{prom}"
-        );
-        // Non-router statuses emit no shard families at all.
-        assert!(!render_prom(&sample_status()).contains("shard"));
     }
 
     #[test]

@@ -350,6 +350,46 @@ fn malformed_and_unknown_requests_get_bad_request() {
 }
 
 #[test]
+fn a_deeply_nested_line_gets_bad_request_and_the_daemon_keeps_serving() {
+    let (addr, handle, _metrics, runner) = boot(ServerConfig::default());
+
+    // One line of 10,000 `[`: the parser refuses it at its recursion
+    // limit instead of overflowing the connection thread's stack.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut hostile = "[".repeat(10_000);
+    hostile.push('\n');
+    stream.write_all(hostile.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Response::from_json(line.trim_end()).unwrap().outcome {
+        Err(body) => {
+            assert_eq!(body.code, ErrorCode::BadRequest);
+            assert!(
+                body.message.contains("recursion limit exceeded"),
+                "{}",
+                body.message
+            );
+        }
+        Ok(v) => panic!("expected bad_request, got {v:?}"),
+    }
+
+    // The same connection, and a fresh one, still get answers.
+    let mut ping = Request::new(8, "ping").to_json();
+    ping.push('\n');
+    stream.write_all(ping.as_bytes()).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let response = Response::from_json(line.trim_end()).unwrap();
+    assert_eq!(response.id, 8);
+    assert!(response.outcome.is_ok(), "{response:?}");
+    assert!(raw_call(&addr, &Request::new(9, "ping")).outcome.is_ok());
+
+    handle.trigger();
+    runner.join().unwrap();
+}
+
+#[test]
 fn span_export_yields_complete_trees_with_phase_attribution() {
     let dir = std::env::temp_dir().join(format!("vcache-daemon-spans-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

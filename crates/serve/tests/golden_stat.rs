@@ -90,8 +90,7 @@ fn request_digest_is_pinned() {
 }
 
 /// A small but fully-populated `status` result, shaped exactly as
-/// `op_status` shapes it — plus the `shards` array a fleet router's
-/// status carries, so the per-shard Prometheus families are pinned too.
+/// `op_status` shapes it.
 fn golden_status() -> Value {
     Value::Obj(vec![
         ("version".into(), Value::U64(1)),
@@ -104,25 +103,6 @@ fn golden_status() -> Value {
             Value::Obj(vec![
                 ("opened".into(), Value::U64(40)),
                 ("finished".into(), Value::U64(38)),
-            ]),
-        ),
-        (
-            "shards".into(),
-            Value::Arr(vec![
-                Value::Obj(vec![
-                    ("index".into(), Value::U64(0)),
-                    ("addr".into(), Value::Str("127.0.0.1:9001".into())),
-                    ("pid".into(), Value::U64(4242)),
-                    ("health".into(), Value::Str("live".into())),
-                    ("restarts".into(), Value::U64(0)),
-                ]),
-                Value::Obj(vec![
-                    ("index".into(), Value::U64(1)),
-                    ("addr".into(), Value::Str("127.0.0.1:9002".into())),
-                    ("pid".into(), Value::Null),
-                    ("health".into(), Value::Str("restarting".into())),
-                    ("restarts".into(), Value::U64(2)),
-                ]),
             ]),
         ),
         (
@@ -224,12 +204,6 @@ vcache_serve_draining 0
 vcache_serve_spans_opened_total 40
 # TYPE vcache_serve_spans_finished_total counter
 vcache_serve_spans_finished_total 38
-# TYPE vcache_serve_shard_up gauge
-vcache_serve_shard_up{shard=\"0\"} 1
-vcache_serve_shard_up{shard=\"1\"} 0
-# TYPE vcache_serve_shard_restarts_total counter
-vcache_serve_shard_restarts_total{shard=\"0\"} 0
-vcache_serve_shard_restarts_total{shard=\"1\"} 2
 # TYPE vcache_serve_requests_total counter
 vcache_serve_requests_total 10
 # TYPE vcache_serve_probabilistic_verdicts_total counter

@@ -33,7 +33,7 @@
 //! * **BoundedOffset / CosetSeparated** — the relational domain
 //!   ([`crate::relational`]): congruence-class splitting turns
 //!   [`Shape::Lattice`] references into exact carry-free sub-lattices,
-//!   difference-bound matrices bound each pair's achievable line
+//!   difference intervals bound each pair's achievable line
 //!   difference, and CRT over the difference lattice decides exactly
 //!   whether a nonzero multiple of `S` is achievable — with a concrete
 //!   witness when it is. These fire on every component the shape rules
@@ -474,8 +474,8 @@ pub enum Rule {
     PairWindow,
     /// The references' residue cosets are disjoint.
     CosetDisjoint,
-    /// Relational: a DBM bounds the pair's achievable line difference to
-    /// a window containing no nonzero multiple of the set count, or an
+    /// Relational: the pair's achievable line differences lie in an
+    /// interval containing no nonzero multiple of the set count, or an
     /// exhaustive walk of the bounded difference box settles it.
     BoundedOffset,
     /// Relational: congruence-class separation over the difference
@@ -974,7 +974,7 @@ pub fn analyze_nest_with_budget(
             }
         }
         // Relational pass: everything the shape rules left open gets the
-        // DBM + congruence-class treatment before any enumeration.
+        // interval + congruence-class treatment before any enumeration.
         if nest_budget.relational {
             undecided.retain(|&component| {
                 let outcome = match component {

@@ -1,7 +1,7 @@
-//! Relational disjointness domain: difference-bound matrices layered
-//! over congruence-class splitting, so [`Shape::Lattice`]-shaped
-//! references are decided *symbolically* instead of by materializing
-//! lines (DESIGN.md §6d).
+//! Relational disjointness domain: difference intervals and congruence
+//! reasoning layered over congruence-class splitting, so
+//! [`Shape::Lattice`]-shaped references are decided *symbolically*
+//! instead of by materializing lines (DESIGN.md §6d).
 //!
 //! Both set mappers reduce a line number modulo the set count `S` (the
 //! pow2 mask and the Mersenne residue are both `line mod S`), so two
@@ -16,11 +16,11 @@
 //!    each residue class `v` is an **exact, carry-free line lattice**
 //!    `{ base_v + Σ (c·P/L)·u_d }`. The footprint is the disjoint union
 //!    of at most `Π min(P_d, n_d)` such classes ([`class_lattices`]).
-//! 2. **Difference-bound matrices.** For each class pair, the
-//!    achievable line difference `ℓ_b − ℓ_a` is a linear form over the
-//!    boxed index variables of both classes; a closed [`Dbm`] (shortest
-//!    paths over difference constraints) yields its exact interval. No
-//!    nonzero multiple of `S` in the interval ⇒ disjoint
+//! 2. **Difference interval.** For each class pair, the achievable line
+//!    difference `ℓ_b − ℓ_a` is `D + Σ_B c·u − Σ_A c·u` over boxed
+//!    indices `0 ≤ u ≤ n − 1` that vary independently, so its exact
+//!    interval is `[D − Σ_A c·(n−1), D + Σ_B c·(n−1)]`. No nonzero
+//!    multiple of `S` in the interval ⇒ disjoint
 //!    ([`Rule::BoundedOffset`]).
 //! 3. **Congruence-class separation.** Every achievable difference is
 //!    `D + v` with `v ≡ 0 (mod g)` for `g = gcd` of the pair's line
@@ -80,139 +80,6 @@ const MAX_DP_SETS: u64 = 1 << 14;
 /// Total symbolic work (walk steps, solve combinations, DP table
 /// updates) allowed per component.
 const COMPONENT_WORK_BUDGET: u128 = 1 << 25;
-
-/// "Infinite" difference bound; small enough that closure arithmetic
-/// cannot overflow `i128`.
-const INF: i128 = i128::MAX / 4;
-
-/// A difference-bound matrix over `vars` variables plus the implicit
-/// zero variable (index 0): entry `[i][j]` is an upper bound on
-/// `x_i − x_j`, with `x_0 = 0`, so row/column 0 holds the unary
-/// interval bounds. [`Dbm::close`] runs Floyd–Warshall shortest paths,
-/// after which every entry is the *tightest* bound implied by the
-/// constraint system (or reports inconsistency).
-#[derive(Debug, Clone)]
-pub struct Dbm {
-    n: usize,
-    m: Vec<i128>,
-}
-
-impl Dbm {
-    /// A DBM over `vars` unconstrained variables (indices `1..=vars`).
-    #[must_use]
-    pub fn new(vars: usize) -> Self {
-        let n = vars + 1;
-        let mut m = vec![INF; n * n];
-        for i in 0..n {
-            m[i * n + i] = 0;
-        }
-        Self { n, m }
-    }
-
-    fn at(&self, i: usize, j: usize) -> i128 {
-        self.m[i * self.n + j]
-    }
-
-    /// Adds the constraint `x_i − x_j ≤ c` (kept only if tighter).
-    pub fn bound(&mut self, i: usize, j: usize, c: i128) {
-        let cell = &mut self.m[i * self.n + j];
-        if c < *cell {
-            *cell = c;
-        }
-    }
-
-    /// Adds the interval constraint `lo ≤ x_i ≤ hi`.
-    pub fn interval(&mut self, i: usize, lo: i128, hi: i128) {
-        self.bound(i, 0, hi);
-        self.bound(0, i, -lo);
-    }
-
-    /// Floyd–Warshall closure; returns `false` when the constraints are
-    /// inconsistent (a negative cycle — some `x_i − x_i < 0`).
-    pub fn close(&mut self) -> bool {
-        let n = self.n;
-        for k in 0..n {
-            for i in 0..n {
-                let ik = self.at(i, k);
-                if ik >= INF {
-                    continue;
-                }
-                for j in 0..n {
-                    let kj = self.at(k, j);
-                    if kj < INF {
-                        self.bound(i, j, ik + kj);
-                    }
-                }
-            }
-        }
-        (0..n).all(|i| self.at(i, i) >= 0)
-    }
-
-    /// The tightest known interval of `x_i − x_j`.
-    #[must_use]
-    pub fn difference(&self, i: usize, j: usize) -> (i128, i128) {
-        (-self.at(j, i), self.at(i, j))
-    }
-
-    /// The interval of the linear form `Σ coeff·x_var` under the closed
-    /// constraints. Positive and negative terms are paired through the
-    /// relational entries `[i][j]` (at least as tight as the unary
-    /// interval product, strictly tighter when difference constraints
-    /// exist); leftover weight uses the unary bounds against `x_0`.
-    #[must_use]
-    pub fn range(&self, terms: &[(usize, i128)]) -> (i128, i128) {
-        let negated: Vec<(usize, i128)> = terms.iter().map(|&(v, c)| (v, -c)).collect();
-        (-self.sup(&negated), self.sup(terms))
-    }
-
-    /// Least upper bound of `Σ coeff·x_var`.
-    fn sup(&self, terms: &[(usize, i128)]) -> i128 {
-        let mut pos: Vec<(usize, i128)> = Vec::new();
-        let mut neg: Vec<(usize, i128)> = Vec::new();
-        for &(v, c) in terms {
-            if c > 0 {
-                pos.push((v, c));
-            } else if c < 0 {
-                neg.push((v, -c));
-            }
-        }
-        let mut total: i128 = 0;
-        let mut add = |weight: i128, bound: i128| -> bool {
-            if bound >= INF {
-                total = INF;
-                false
-            } else {
-                total = (total + weight * bound).min(INF);
-                true
-            }
-        };
-        while let (Some(&(a, wa)), Some(&(b, wb))) = (pos.last(), neg.last()) {
-            let w = wa.min(wb);
-            if !add(w, self.at(a, b)) {
-                return INF;
-            }
-            pos.pop();
-            neg.pop();
-            if wa > w {
-                pos.push((a, wa - w));
-            }
-            if wb > w {
-                neg.push((b, wb - w));
-            }
-        }
-        for (a, w) in pos {
-            if !add(w, self.at(a, 0)) {
-                return INF;
-            }
-        }
-        for (b, w) in neg {
-            if !add(w, self.at(0, b)) {
-                return INF;
-            }
-        }
-        total
-    }
-}
 
 /// One congruence class of a reference's iteration space: the **exact**
 /// carry-free line lattice `{ base + Σ stride_d·u_d : 0 ≤ u_d < trip_d }`
@@ -471,19 +338,20 @@ impl MergedDim {
 
 /// The symbolic state shared by every class pair with one dimension
 /// signature `(dims_a, dims_b)`. Everything derivable from the
-/// dimensions alone — the DBM interval of the difference form, the
-/// stride gcd, completeness, the merged signed box, and the residue DP
-/// tables — is computed once; each `(base_a, base_b)` pair then pays
+/// dimensions alone — the interval of the difference form, the stride
+/// gcd, completeness, the merged signed box, and the residue DP tables
+/// — is computed once; each `(base_a, base_b)` pair then pays
 /// near-constant query cost.
 struct PairDecider {
     items: Vec<Item>,
     merged: Vec<MergedDim>,
-    consistent: bool,
-    vlo: i128,
-    vhi: i128,
     g: u64,
     complete: bool,
+    /// `Σ c·(n − 1)` over A's dimensions: how far `ℓ_a` climbs above
+    /// `base_a`, so `ℓ_b − ℓ_a − d` reaches down to `−span_a`.
     span_a: i128,
+    /// The same sum over B's dimensions: the top of `ℓ_b − ℓ_a − d`.
+    span_b: i128,
     /// `None` = not attempted; `Some(None)` = infeasible within budget.
     dp: Option<Option<ResidueDp>>,
 }
@@ -501,31 +369,18 @@ impl PairDecider {
             })
             .collect();
 
-        // Layer 2: the exact interval of ℓ_b − ℓ_a − d through a
-        // closed DBM over the pair's index variables.
-        let mut dbm = Dbm::new(items.len());
-        for (k, it) in items.iter().enumerate() {
-            dbm.interval(k + 1, 0, i128::from(it.width));
-        }
-        let consistent = dbm.close();
-        let form: Vec<(usize, i128)> = items
-            .iter()
-            .enumerate()
-            .map(|(k, it)| {
-                let c = i128::from(it.coeff);
-                (k + 1, if it.from_a { -c } else { c })
-            })
-            .collect();
-        let (vlo, vhi) = dbm.range(&form);
-
         let g = items.iter().fold(0u64, |g, it| gcd(g, it.coeff));
         let mut sorted: Vec<(u64, u64)> = items.iter().map(|it| (it.coeff, it.width + 1)).collect();
         sorted.sort_unstable();
         let (complete, _) = progression_span(&sorted, g);
-        let span_a = dims_a
-            .iter()
-            .map(|&(c, n)| i128::from(c) * i128::from(n - 1))
-            .sum();
+        // Layer 2: every index ranges over its box independently, so
+        // ℓ_b − ℓ_a − d spans exactly [−span_a, span_b].
+        let span = |dims: &[(u64, u64)]| -> i128 {
+            dims.iter()
+                .map(|&(c, n)| i128::from(c) * i128::from(n - 1))
+                .sum()
+        };
+        let (span_a, span_b) = (span(dims_a), span(dims_b));
 
         let mut by_coeff: BTreeMap<u64, (i128, i128)> = BTreeMap::new();
         for it in &items {
@@ -544,12 +399,10 @@ impl PairDecider {
         Self {
             items,
             merged,
-            consistent,
-            vlo,
-            vhi,
             g,
             complete,
             span_a,
+            span_b,
             dp: None,
         }
     }
@@ -564,11 +417,8 @@ impl PairDecider {
         budget: &mut u128,
         per_pair: bool,
     ) -> RelOutcome {
-        if !self.consistent {
-            return RelOutcome::NeedsEnumeration("dbm-inconsistent");
-        }
         let d = i128::from(base_b) - i128::from(base_a);
-        let (lo, hi) = (d + self.vlo, d + self.vhi);
+        let (lo, hi) = (d - self.span_a, d + self.span_b);
         if !has_nonzero_multiple(lo, hi, sets) {
             return RelOutcome::Free(Rule::BoundedOffset);
         }
@@ -1068,43 +918,6 @@ mod tests {
 
     fn prime(c: u32, lw: u64) -> Geometry {
         Geometry::prime(c, lw).unwrap()
-    }
-
-    #[test]
-    fn dbm_closure_tightens_transitive_chains() {
-        let mut dbm = Dbm::new(3);
-        dbm.bound(1, 2, 3); // x1 − x2 ≤ 3
-        dbm.bound(2, 3, 4); // x2 − x3 ≤ 4
-        dbm.bound(3, 1, -5); // x3 − x1 ≤ −5
-        assert!(dbm.close());
-        assert_eq!(dbm.difference(1, 3).1, 7);
-        // Around the cycle: x1 − x2 ≥ x1 − x3 − (x2 − x3)… closure
-        // derives the implied lower bound too.
-        assert_eq!(dbm.difference(1, 2), (1, 3));
-    }
-
-    #[test]
-    fn dbm_detects_inconsistency() {
-        let mut dbm = Dbm::new(2);
-        dbm.bound(1, 2, -1);
-        dbm.bound(2, 1, -1);
-        assert!(!dbm.close());
-    }
-
-    #[test]
-    fn dbm_range_pairs_through_relational_bounds() {
-        let mut dbm = Dbm::new(2);
-        dbm.interval(1, 0, 9);
-        dbm.interval(2, 0, 9);
-        dbm.bound(1, 2, 2); // x1 − x2 ≤ 2
-        dbm.bound(2, 1, 2); // x2 − x1 ≤ 2
-        assert!(dbm.close());
-        // The interval product alone would give [−9, 9].
-        assert_eq!(dbm.range(&[(1, 1), (2, -1)]), (-2, 2));
-        // Weighted pairing stays sound and tight.
-        assert_eq!(dbm.range(&[(1, 3), (2, -3)]), (-6, 6));
-        // Unary leftovers use the box bounds.
-        assert_eq!(dbm.range(&[(1, 1)]), (0, 9));
     }
 
     #[test]

@@ -189,8 +189,9 @@ fn random_nest_verdicts_agree_with_simulator() {
 /// no fallback under both mappers, and (b) agree with the simulator —
 /// `ConflictFree` ⟺ zero conflict misses for footprints within capacity,
 /// and conflict-free ⇒ clean replay unconditionally. This is the ground
-/// truth behind the `vcache check --nests` battery rows: the DBM and
-/// congruence rules are not just self-consistent, they match the machine.
+/// truth behind the `vcache check --nests` battery rows: the interval
+/// and congruence rules are not just self-consistent, they match the
+/// machine.
 #[test]
 fn battery_nests_decide_symbolically_and_agree_with_simulator() {
     use vcache_check::battery::{cases, BATTERY_NESTS, BATTERY_SEED};

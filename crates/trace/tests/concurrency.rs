@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use vcache_trace::{MissClass, RingSink, SharedMetrics, SharedSink, TraceEvent, TraceSink};
 
@@ -78,13 +79,28 @@ fn snapshots_are_never_torn_under_concurrent_writes() {
             })
         })
         .collect();
-    for _ in 0..500 {
+    // Snapshot only once the writers run, and keep going until the
+    // counters move between snapshots, so the check provably overlaps
+    // concurrent writes instead of racing ahead of the writer threads.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while metrics.counter_value("pair.a") == 0 {
+        assert!(Instant::now() < deadline, "writers never ran");
+        thread::yield_now();
+    }
+    let first = metrics.snapshot().counter("pair.a");
+    let mut taken = 0;
+    loop {
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counter("pair.a"),
             snap.counter("pair.b"),
             "torn snapshot: paired counters diverged"
         );
+        taken += 1;
+        if taken >= 500 && snap.counter("pair.a") > first {
+            break;
+        }
+        assert!(Instant::now() < deadline, "counters never advanced");
     }
     stop.store(true, Ordering::Relaxed);
     for w in writers {

@@ -13,8 +13,9 @@
 //! unknown flags are errors.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{self, BufReader, Write as _};
 use std::process::ExitCode;
 
 use prime_cache::cache::{CacheSim, ReplacementPolicy, StreamId, WordAddr};
@@ -73,30 +74,25 @@ USAGE:
       covered by the allowlist.
   vcache serve [--addr <A>] [--unix <PATH>] [--workers <N>] [--queue <N>]
                [--deadline-ms <N>] [--retry-after-ms <N>] [--faults <SPEC>] [--root <DIR>]
-               [--spans <FILE>] [--slow-ms <N>] [--cache <N>] [--shards <N>]
+               [--spans <FILE>] [--slow-ms <N>] [--cache <N>]
       Run the analysis daemon (NDJSON over TCP, plus a Unix socket with
       --unix). Prints `listening on <addr>` once bound; --addr defaults
       to 127.0.0.1:0 (ephemeral port). SIGTERM/SIGINT drain gracefully
       and print a final metrics snapshot. <SPEC> arms fault injection,
-      e.g. `seed=7,panic=0.02,delay=0.05:20,torn=0.02,kill=0.01` (kill
-      dies abruptly mid-response, like a SIGKILL). With --spans, every
-      request's span tree (DESIGN.md §8) is appended to FILE as JSONL;
-      requests slower than --slow-ms (default 1000, 0 disables) are
-      logged to stderr as structured slow_request lines. --cache bounds
-      the digest-keyed verdict cache (entries, default 1024, 0
-      disables). With --shards N (DESIGN.md §9), N child daemons are
-      supervised (crash-restart with backoff) behind a router on --addr
-      that consistent-hashes request digests across them; --spans then
-      records the router's spans and per-shard health appears in
-      `status` and `vcache stat`.
+      e.g. `seed=7,panic=0.02,delay=0.05:20,torn=0.02`. With --spans,
+      every request's span tree (DESIGN.md §8) is appended to FILE as
+      JSONL; requests slower than --slow-ms (default 1000, 0 disables)
+      are logged to stderr as structured slow_request lines. --cache
+      bounds the digest-keyed verdict cache (entries, default 1024, 0
+      disables; DESIGN.md §9).
   vcache stat --addr <A> [--prom] [--json] [--attempts <N>]
-      Fetch a running daemon's (or fleet router's) status and render it:
-      a human summary by default, the Prometheus text exposition with
-      --prom, or the raw status JSON with --json.
+      Fetch a running daemon's status and render it: a human summary by
+      default, the Prometheus text exposition with --prom, or the raw
+      status JSON with --json.
   vcache client <op> --addr <A> [--deadline-ms <N>] [--attempts <N>] [op flags]
       Call a running daemon with retries (decorrelated-jitter backoff).
-      --addr may be a comma-separated shard list; transport failures
-      fail over to the next address.
+      --addr may be a comma-separated list of daemon addresses;
+      transport failures fail over to the next address.
       <op> is one of:
         ping | status | shutdown
         check    [--src] [--programs] [--nests] [--prescribe] [--workloads]
@@ -106,15 +102,148 @@ USAGE:
         analyze  --trace <FILE> [--window <W>] [--top <N>]
   vcache help
       Show this message.
+
+Unknown flags are errors. Output cut short by its reader (`| head`)
+ends the command with exit 0.
 ";
+
+/// The flags one command accepts: `values` take an argument, `switches`
+/// stand alone. Anything else on its command line is an error.
+struct FlagSpec {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// A command whose flags all take a value.
+const fn takes(values: &'static [&'static str]) -> FlagSpec {
+    FlagSpec {
+        values,
+        switches: &[],
+    }
+}
+
+const CHECK: FlagSpec = FlagSpec {
+    values: &["root"],
+    switches: &[
+        "src",
+        "programs",
+        "nests",
+        "prescribe",
+        "workloads",
+        "probabilistic",
+        "json",
+    ],
+};
+
+const ANALYZE: FlagSpec = takes(&["trace", "window", "top"]);
+
+const NO_FLAGS: FlagSpec = takes(&[]);
+
+/// Every command's flags. `client check` and `client analyze` take the
+/// flags of the local command they mirror, plus [`CLIENT`]'s.
+const COMMANDS: &[(&str, FlagSpec)] = &[
+    (
+        "simulate",
+        takes(&["cache", "stride", "length", "sweeps", "base", "trace"]),
+    ),
+    ("plan-subblock", takes(&["rows", "exponent"])),
+    ("plan-fft", takes(&["points", "exponent"])),
+    (
+        "compare",
+        takes(&["tm", "blocking", "pds", "pstride1", "trace"]),
+    ),
+    ("analyze", ANALYZE),
+    ("check", CHECK),
+    (
+        "serve",
+        takes(&[
+            "addr",
+            "unix",
+            "workers",
+            "queue",
+            "deadline-ms",
+            "retry-after-ms",
+            "faults",
+            "root",
+            "spans",
+            "slow-ms",
+            "cache",
+        ]),
+    ),
+    (
+        "stat",
+        FlagSpec {
+            values: &["addr", "attempts"],
+            switches: &["prom", "json"],
+        },
+    ),
+    ("help", NO_FLAGS),
+];
+
+/// The flags every `client` op accepts.
+const CLIENT: FlagSpec = takes(&["addr", "deadline-ms", "attempts"]);
+
+/// Which standard stream [`emit`] writes.
+#[derive(Clone, Copy)]
+enum Stream {
+    Out,
+    Err,
+}
+
+/// Writes CLI output. A closed stream — its reader went away, as in
+/// `vcache analyze … | head -1` — ends the process with exit 0, where
+/// `println!` would panic on the broken pipe: nobody is left to read
+/// the rest. Unit tests go through `print!` so the harness captures
+/// command output.
+fn emit(stream: Stream, args: fmt::Arguments<'_>) {
+    if cfg!(test) {
+        match stream {
+            Stream::Out => print!("{args}"),
+            Stream::Err => eprint!("{args}"),
+        }
+        return;
+    }
+    let written = match stream {
+        Stream::Out => io::stdout().lock().write_fmt(args),
+        Stream::Err => io::stderr().lock().write_fmt(args),
+    };
+    if let Err(e) = written {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        let _ = writeln!(io::stderr(), "error: cannot write output: {e}");
+        std::process::exit(1);
+    }
+}
+
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(Stream::Out, format_args!($($arg)*))
+    };
+}
+
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        emit(Stream::Err, format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("\n{USAGE}");
+            errln!("error: {msg}");
+            errln!("\n{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -130,36 +259,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let Some(op) = args.get(1) else {
             return Err("client needs an op: ping | status | shutdown | check | analyze".into());
         };
-        let switches: &[&str] = match op.as_str() {
-            "check" => &[
-                "src",
-                "programs",
-                "nests",
-                "prescribe",
-                "workloads",
-                "probabilistic",
-                "json",
-            ],
-            _ => &[],
+        let own = match op.as_str() {
+            "ping" | "status" | "shutdown" => &NO_FLAGS,
+            "check" => &CHECK,
+            "analyze" => &ANALYZE,
+            other => return Err(format!("unknown client op `{other}`")),
         };
-        let flags = parse_flags(&args[2..], switches)?;
+        let flags =
+            parse_flags(&args[2..], &[&CLIENT, own]).map_err(|e| format!("client {op}: {e}"))?;
         return client_cmd(op, &flags);
     }
-    let switches: &[&str] = match command.as_str() {
-        "check" => &[
-            "src",
-            "programs",
-            "nests",
-            "prescribe",
-            "workloads",
-            "probabilistic",
-            "json",
-        ],
-        "stat" => &["prom", "json"],
-        _ => &[],
+    let name = match command.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
     };
-    let flags = parse_flags(&args[1..], switches)?;
-    match command.as_str() {
+    let Some((_, spec)) = COMMANDS.iter().find(|(known, _)| *known == name) else {
+        return Err(format!("unknown command `{command}`"));
+    };
+    let flags = parse_flags(&args[1..], &[spec]).map_err(|e| format!("{name}: {e}"))?;
+    match name {
         "simulate" => simulate(&flags).map(|()| ExitCode::SUCCESS),
         "plan-subblock" => plan_subblock(&flags).map(|()| ExitCode::SUCCESS),
         "plan-fft" => plan_fft_cmd(&flags).map(|()| ExitCode::SUCCESS),
@@ -168,26 +286,29 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "check" => check_cmd(&flags),
         "serve" => serve_cmd(&flags),
         "stat" => stat_cmd(&flags).map(|()| ExitCode::SUCCESS),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+        "help" => {
+            outln!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`")),
     }
 }
 
-/// Parses `--name value` pairs; names in `switches` take no value and are
-/// recorded with the value `"true"`.
-fn parse_flags(args: &[String], switches: &[&str]) -> Result<HashMap<String, String>, String> {
+/// Parses `--name value` pairs against the accepted flags in `specs`;
+/// switches take no value and are recorded with the value `"true"`.
+fn parse_flags(args: &[String], specs: &[&FlagSpec]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got `{flag}`"))?;
-        if switches.contains(&name) {
+        if specs.iter().any(|spec| spec.switches.contains(&name)) {
             flags.insert(name.to_string(), "true".to_string());
             continue;
+        }
+        if !specs.iter().any(|spec| spec.values.contains(&name)) {
+            return Err(format!("unknown flag `{flag}`"));
         }
         let value = it
             .next()
@@ -259,7 +380,7 @@ fn simulate(flags: &HashMap<String, String>) -> Result<(), String> {
             }
             sink.flush()
                 .map_err(|e| format!("cannot write trace file {path}: {e}"))?;
-            println!("trace: {} events -> {path}", sink.written());
+            outln!("trace: {} events -> {path}", sink.written());
         }
         None => {
             for _ in 0..sweeps {
@@ -267,7 +388,7 @@ fn simulate(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    println!(
+    outln!(
         "{} cache, {} sets x {} ways: {}",
         cache.scheme_name(),
         cache.geometry().sets(),
@@ -289,7 +410,7 @@ fn plan_subblock(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("--rows must be positive".into());
     }
     let plan = conflict_free_subblock(p, u64::MAX, modulus);
-    println!(
+    outln!(
         "P = {p}, C = {}: b1 = {}, b2 = {} ({} elements, utilization {:.4})",
         modulus.value(),
         plan.b1,
@@ -305,7 +426,7 @@ fn plan_fft_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let modulus = modulus_from(flags)?;
     match plan_fft(n, modulus) {
         Some(plan) => {
-            println!(
+            outln!(
                 "N = {n}: B1 = {}, B2 = {} (conflict-free on {} lines: {})",
                 plan.b1,
                 plan.b2,
@@ -351,12 +472,12 @@ fn compare(flags: &HashMap<String, String>) -> Result<(), String> {
         &Workload::random_strides(n, b, p_ds, p1, 8191),
         MachineKind::CcPrime,
     );
-    println!("cycles per result at t_m = {t_m}, B = {b}, P_ds = {p_ds}, P_stride1 = {p1}:");
-    println!("  MM-model (no cache):     {mm:.3}");
-    println!("  CC-model, direct-mapped: {direct:.3}");
-    println!("  CC-model, prime-mapped:  {prime:.3}");
-    println!("  speedup prime vs direct: {:.2}x", direct / prime);
-    println!("  speedup prime vs MM:     {:.2}x", mm / prime);
+    outln!("cycles per result at t_m = {t_m}, B = {b}, P_ds = {p_ds}, P_stride1 = {p1}:");
+    outln!("  MM-model (no cache):     {mm:.3}");
+    outln!("  CC-model, direct-mapped: {direct:.3}");
+    outln!("  CC-model, prime-mapped:  {prime:.3}");
+    outln!("  speedup prime vs direct: {:.2}x", direct / prime);
+    outln!("  speedup prime vs MM:     {:.2}x", mm / prime);
     if let Some(path) = flags.get("trace") {
         compare_traced(path, t_m, b, p_ds, p1)?;
     }
@@ -395,23 +516,23 @@ fn compare_traced(path: &str, t_m: u64, b: u64, p_ds: f64, p1: f64) -> Result<()
     sink.flush()
         .map_err(|e| format!("cannot write trace file {path}: {e}"))?;
 
-    println!(
+    outln!(
         "trace-driven simulators ({elements} elements, R = {}):",
         vcm.reuse_factor
     );
-    println!(
+    outln!(
         "  MM-model (no cache):     {:.3}",
         mm_report.cycles_per_result()
     );
-    println!(
+    outln!(
         "  CC-model, direct-mapped: {:.3}",
         direct_report.cycles_per_result()
     );
-    println!(
+    outln!(
         "  CC-model, prime-mapped:  {:.3}",
         prime_report.cycles_per_result()
     );
-    println!("trace: {} events -> {path}", sink.written());
+    outln!("trace: {} events -> {path}", sink.written());
     Ok(())
 }
 
@@ -426,10 +547,10 @@ fn analyze_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let (events, errors) = analyze::read_jsonl(BufReader::new(file))
         .map_err(|e| format!("cannot read {path}: {e}"))?;
     for (line, err) in &errors {
-        eprintln!("warning: {path}:{line}: skipping unparseable event: {err}");
+        errln!("warning: {path}:{line}: skipping unparseable event: {err}");
     }
     if !errors.is_empty() {
-        eprintln!(
+        errln!(
             "warning: {path}: skipped {} unparseable line(s)",
             errors.len()
         );
@@ -444,22 +565,22 @@ fn analyze_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             )
         });
     }
-    println!("{} events from {path}", events.len());
+    outln!("{} events from {path}", events.len());
     if !errors.is_empty() {
-        println!("({} corrupt line(s) skipped)", errors.len());
+        outln!("({} corrupt line(s) skipped)", errors.len());
     }
-    println!();
-    print!(
+    outln!();
+    out!(
         "{}",
         analyze::render_timelines(&analyze::miss_timelines(&events, window))
     );
-    println!();
-    print!(
+    outln!();
+    out!(
         "{}",
         analyze::render_bank_table(&analyze::bank_occupancy(&events))
     );
-    println!();
-    print!(
+    outln!();
+    out!(
         "{}",
         analyze::render_conflict_sets(&analyze::top_conflict_sets(&events, top))
     );
@@ -487,9 +608,9 @@ fn check_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     };
     let report = run_check(&options).map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
-        println!("{}", report.to_json().map_err(|e| e.to_string())?);
+        outln!("{}", report.to_json().map_err(|e| e.to_string())?);
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     Ok(if report.is_clean() {
         ExitCode::SUCCESS
@@ -537,10 +658,6 @@ mod signals {
 }
 
 fn serve_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let shards: usize = get_or(flags, "shards", 0)?;
-    if shards > 0 {
-        return serve_fleet_cmd(flags, shards);
-    }
     let fault_plan = match flags.get("faults") {
         Some(spec) => FaultPlan::parse(spec)?,
         None => FaultPlan::none(),
@@ -560,9 +677,8 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     };
     let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    outln!("listening on {addr}");
+    let _ = io::stdout().flush();
 
     #[cfg(unix)]
     {
@@ -578,99 +694,8 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     }
 
     let snapshot = server.run().map_err(|e| format!("daemon failed: {e}"))?;
-    eprintln!("drained; final metrics:");
-    eprintln!("{}", snapshot.to_json());
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `vcache serve --shards N`: supervise N child daemons behind a
-/// consistent-hash router (DESIGN.md §9). The children re-exec this
-/// binary's single-daemon mode on ephemeral ports; the router owns the
-/// public --addr. Shard stderr is inherited, so shard drain snapshots
-/// land in this process's stderr stream.
-fn serve_fleet_cmd(flags: &HashMap<String, String>, shards: usize) -> Result<ExitCode, String> {
-    use prime_cache::serve::{FleetConfig, Router, RouterConfig, Supervisor};
-
-    if flags.contains_key("unix") {
-        return Err("--unix is not supported in --shards mode".into());
-    }
-    // Validate the fault spec up front so a typo fails here, not in
-    // every child's stderr.
-    if let Some(spec) = flags.get("faults") {
-        FaultPlan::parse(spec)?;
-    }
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot locate own executable: {e}"))?
-        .to_str()
-        .ok_or_else(|| "own executable path is not UTF-8".to_string())?
-        .to_string();
-    let mut shard_cmd = vec![
-        exe,
-        "serve".to_string(),
-        "--addr".to_string(),
-        "127.0.0.1:0".to_string(),
-    ];
-    for flag in [
-        "workers",
-        "queue",
-        "deadline-ms",
-        "retry-after-ms",
-        "faults",
-        "root",
-        "slow-ms",
-        "cache",
-    ] {
-        if let Some(value) = flags.get(flag) {
-            shard_cmd.push(format!("--{flag}"));
-            shard_cmd.push(value.clone());
-        }
-    }
-    let metrics = prime_cache::trace::SharedMetrics::default();
-    let supervisor = Supervisor::start(FleetConfig::new(shards, shard_cmd), metrics.clone())
-        .map_err(|e| format!("cannot start shard fleet: {e}"))?;
-    let router_config = RouterConfig {
-        addr: get_or(flags, "addr", "127.0.0.1:0".to_string())?,
-        retry_after_ms: get_or(flags, "retry-after-ms", 50)?,
-        default_deadline_ms: get_or(flags, "deadline-ms", 10_000)?,
-        span_path: flags.get("spans").map(std::path::PathBuf::from),
-    };
-    let router = match Router::bind(router_config, supervisor.shards(), metrics) {
-        Ok(router) => router,
-        Err(e) => {
-            supervisor.drain(std::time::Duration::from_secs(5));
-            return Err(format!("cannot bind router: {e}"));
-        }
-    };
-    let addr = match router.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            supervisor.drain(std::time::Duration::from_secs(5));
-            return Err(e.to_string());
-        }
-    };
-    println!("listening on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-
-    #[cfg(unix)]
-    {
-        signals::install();
-        let handle = router.shutdown_handle();
-        std::thread::spawn(move || loop {
-            if signals::triggered() {
-                handle.trigger();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        });
-    }
-
-    let snapshot = router.run().map_err(|e| format!("router failed: {e}"))?;
-    // Shards drain after the router stops accepting: their final
-    // snapshots print to the inherited stderr before ours.
-    supervisor.drain(std::time::Duration::from_secs(10));
-    eprintln!("drained; final metrics:");
-    eprintln!("{}", snapshot.to_json());
+    errln!("drained; final metrics:");
+    errln!("{}", snapshot.to_json());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -682,14 +707,14 @@ fn stat_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut client = Client::with_policy(addr, policy);
     let status = client.status().map_err(|e| e.to_string())?;
     if flags.contains_key("prom") {
-        print!("{}", prime_cache::serve::stat::render_prom(&status));
+        out!("{}", prime_cache::serve::stat::render_prom(&status));
     } else if flags.contains_key("json") {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string(&status).map_err(|e| e.to_string())?
         );
     } else {
-        print!("{}", prime_cache::serve::stat::render_summary(&status));
+        out!("{}", prime_cache::serve::stat::render_summary(&status));
     }
     Ok(())
 }
@@ -711,7 +736,7 @@ fn client_cmd(op: &str, flags: &HashMap<String, String>) -> Result<ExitCode, Str
             let result = client
                 .call(op, Value::Obj(Vec::new()), deadline_ms)
                 .map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string(&result).map_err(|e| e.to_string())?
             );
@@ -755,13 +780,13 @@ fn client_check(
         let report = result
             .get("report")
             .ok_or_else(|| "malformed check result: no `report`".to_string())?;
-        println!(
+        outln!(
             "{}",
             serde_json::to_string(report).map_err(|e| e.to_string())?
         );
     } else {
         match result.get("text") {
-            Some(Value::Str(text)) => print!("{text}"),
+            Some(Value::Str(text)) => out!("{text}"),
             _ => return Err("malformed check result: no `text`".into()),
         }
     }
@@ -804,14 +829,14 @@ fn client_analyze(
         Some(Value::U64(n)) => *n,
         _ => 0,
     };
-    println!("{events} events from {path}");
+    outln!("{events} events from {path}");
     if skipped > 0 {
-        println!("({skipped} corrupt line(s) skipped)");
+        outln!("({skipped} corrupt line(s) skipped)");
     }
     for section in ["timelines", "banks", "conflicts"] {
         if let Some(Value::Str(text)) = result.get(section) {
-            println!();
-            print!("{text}");
+            outln!();
+            out!("{text}");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -820,6 +845,7 @@ fn client_analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         pairs
@@ -828,30 +854,92 @@ mod tests {
             .collect()
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> = ["--a", "1", "--b", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags(&args, &[]).unwrap();
+        let spec = FlagSpec {
+            values: &["a", "b"],
+            switches: &[],
+        };
+        let f = parse_flags(&strings(&["--a", "1", "--b", "x"]), &[&spec]).unwrap();
         assert_eq!(f["a"], "1");
         assert_eq!(f["b"], "x");
-        assert!(parse_flags(&["--a".to_string()], &[]).is_err());
-        assert!(parse_flags(&["a".to_string(), "1".to_string()], &[]).is_err());
+        assert!(parse_flags(&strings(&["--a"]), &[&spec]).is_err());
+        assert!(parse_flags(&strings(&["a", "1"]), &[&spec]).is_err());
+        let err = parse_flags(&strings(&["--a", "1", "--c", "2"]), &[&spec]).unwrap_err();
+        assert!(err.contains("`--c`"), "{err}");
     }
 
     #[test]
     fn switch_parsing() {
-        let args: Vec<String> = ["--src", "--root", "/tmp", "--json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags(&args, &["src", "programs", "nests", "json"]).unwrap();
+        let args = strings(&["--src", "--root", "/tmp", "--json"]);
+        let f = parse_flags(&args, &[&CHECK]).unwrap();
         assert_eq!(f["src"], "true");
         assert_eq!(f["json"], "true");
         assert_eq!(f["root"], "/tmp");
         assert!(!f.contains_key("programs"));
+    }
+
+    #[test]
+    fn unknown_flags_and_fault_keys_fail_naming_them() {
+        // One typo per command; each must fail before the command runs
+        // (the serve cases would otherwise bind and block).
+        for (line, named) in [
+            ("simulate --cache prime:5 --strid 8", "`--strid`"),
+            ("plan-subblock --rows 1000 --exponet 7", "`--exponet`"),
+            ("plan-fft --points 1024 --exponnent 7", "`--exponnent`"),
+            ("compare --tm 32 --blocknig 512", "`--blocknig`"),
+            ("analyze --tracee t.jsonl", "`--tracee`"),
+            ("check --programs --jsn", "`--jsn`"),
+            ("serve --worker 2", "`--worker`"),
+            ("serve --shards 2", "`--shards`"),
+            ("serve --faults kill=0.1", "\"kill\""),
+            ("stat --addr 127.0.0.1:1 --promm", "`--promm`"),
+            ("help --verbose", "`--verbose`"),
+            ("client ping --adr 127.0.0.1:1", "`--adr`"),
+            ("client check --addr 127.0.0.1:1 --nest", "`--nest`"),
+            ("client analyze --addr 127.0.0.1:1 --windw 4", "`--windw`"),
+        ] {
+            let args: Vec<&str> = line.split_whitespace().collect();
+            let err = run(&strings(&args)).unwrap_err();
+            assert!(err.contains(named), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_documents_exactly_each_commands_flags() {
+        let documented = |text: &str| -> BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .map(String::from)
+                .collect()
+        };
+        let accepted = |specs: &[&FlagSpec]| -> BTreeSet<String> {
+            specs
+                .iter()
+                .flat_map(|spec| spec.values.iter().chain(spec.switches))
+                .map(|name| name.to_string())
+                .collect()
+        };
+        let client = ("client", vec![&CLIENT, &CHECK, &ANALYZE]);
+        for (command, specs) in COMMANDS
+            .iter()
+            .map(|(name, spec)| (*name, vec![spec]))
+            .chain([client])
+        {
+            let start = USAGE
+                .find(&format!("\n  vcache {command} "))
+                .or_else(|| USAGE.find(&format!("\n  vcache {command}\n")))
+                .unwrap_or_else(|| panic!("USAGE lacks `{command}`"));
+            let rest = &USAGE[start + 1..];
+            let block = rest[1..]
+                .find("\n  vcache ")
+                .map_or(rest, |end| &rest[..=end]);
+            assert_eq!(documented(block), accepted(&specs), "USAGE of `{command}`");
+        }
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn chaos_soak_every_request_resolves_and_sigterm_drains() {
     // `--cache 0`: this soak repeats one nest, and the span audit below
     // insists every ok analyze_nest tree shows queue_wait + worker
     // attribution — verdict-cache hits legitimately skip both. The
-    // cache's own soak is `fleet_chaos_soak_survives_a_shard_sigkill`.
+    // cache's own properties live in crates/serve/tests/cache_props.rs.
     let daemon = Daemon::spawn(&[
         "--workers",
         "4",
@@ -386,317 +386,6 @@ fn final_snapshot_counter(stderr: &str, name: &str) -> u64 {
         .collect::<String>()
         .parse()
         .unwrap_or_else(|e| panic!("bad {name} value in final snapshot: {e}"))
-}
-
-/// Params for one of eight distinct cacheable nests: the fleet soak
-/// cycles them so most analyze_nest traffic replays from the shards'
-/// verdict caches while staying spread across the hash ring.
-fn fleet_nest_params(k: usize) -> Value {
-    let nest = LoopNest::new(
-        format!("fleet-{k}"),
-        vec![AffineRef::new(
-            (k * 8) as u64,
-            vec![Term {
-                coeff: 1 + (k % 3) as i64,
-                trip: 32,
-            }],
-            0,
-        )],
-    );
-    Value::Obj(vec![
-        ("nest".into(), nest.to_value()),
-        (
-            "geometry".into(),
-            Value::Obj(vec![
-                ("kind".into(), Value::Str("pow2".into())),
-                ("sets".into(), Value::U64(32)),
-                ("line_words".into(), Value::U64(8)),
-            ]),
-        ),
-    ])
-}
-
-/// The shards array out of a router `status` result.
-fn shard_entries(status: &Value) -> &[Value] {
-    match status.get("shards") {
-        Some(Value::Arr(shards)) => shards,
-        other => panic!("router status lacks a shards array: {other:?}"),
-    }
-}
-
-#[test]
-fn fleet_chaos_soak_survives_a_shard_sigkill() {
-    let span_path =
-        std::env::temp_dir().join(format!("vcache-fleet-spans-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&span_path);
-    let fleet = Daemon::spawn(&[
-        "--shards",
-        "3",
-        "--workers",
-        "2",
-        "--queue",
-        "32",
-        "--cache",
-        "1024",
-        "--spans",
-        span_path.to_str().expect("utf-8 temp path"),
-    ]);
-
-    // The router answers ping locally and names its role.
-    let pong = fleet
-        .client(8)
-        .call("ping", Value::Null, Some(5_000))
-        .expect("router ping");
-    assert_eq!(pong.get("role"), Some(&Value::Str("router".into())));
-
-    const CLIENTS: usize = 4;
-    const PER_CLIENT: usize = 2_500; // 10k requests total
-    const NESTS: usize = 8;
-
-    let workers: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let mut client = fleet.client(12);
-            thread::spawn(move || {
-                let mut ok = 0u32;
-                let mut typed = 0u32;
-                // First Ok result bytes per nest; every later response
-                // for the same nest — cold on another shard or a cache
-                // hit on the owner — must serialize identically.
-                let mut golden: Vec<Option<String>> = vec![None; NESTS];
-                for i in 0..PER_CLIENT {
-                    let result = match (c + i) % 16 {
-                        0 => client.call("ping", Value::Null, Some(5_000)),
-                        1 => client.call("status", Value::Null, Some(5_000)),
-                        _ => {
-                            let k = (c + i) % NESTS;
-                            match client.call("analyze_nest", fleet_nest_params(k), Some(5_000)) {
-                                Ok(value) => {
-                                    let bytes = serde_json::to_string(&value)
-                                        .expect("serialize analyze result");
-                                    match &golden[k] {
-                                        Some(first) => assert_eq!(
-                                            first, &bytes,
-                                            "client {c} request {i}: nest {k} bytes diverged"
-                                        ),
-                                        None => golden[k] = Some(bytes),
-                                    }
-                                    Ok(value)
-                                }
-                                err => err,
-                            }
-                        }
-                    };
-                    match result {
-                        Ok(_) => ok += 1,
-                        // A typed server error is still exactly one
-                        // well-formed response: the request was never
-                        // silently lost.
-                        Err(ClientError::Server(_)) => typed += 1,
-                        Err(other) => panic!("client {c} request {i}: untyped failure {other}"),
-                    }
-                }
-                (ok, typed, golden)
-            })
-        })
-        .collect();
-
-    // Mid-soak, SIGKILL one live shard: abrupt death, no drain, exactly
-    // what the supervisor + ring failover exist for.
-    thread::sleep(Duration::from_millis(500));
-    let status = fleet
-        .client(12)
-        .call("status", Value::Null, Some(5_000))
-        .expect("router status mid-soak");
-    let victim_pid = shard_entries(&status)
-        .iter()
-        .find_map(|shard| match (shard.get("health"), shard.get("pid")) {
-            (Some(Value::Str(h)), Some(Value::U64(pid))) if h == "live" => Some(*pid),
-            _ => None,
-        })
-        .expect("a live shard with a pid");
-    let killed = Command::new("kill")
-        .args(["-KILL", &victim_pid.to_string()])
-        .status()
-        .expect("send SIGKILL");
-    assert!(killed.success(), "kill -KILL failed");
-
-    let mut total_ok = 0u32;
-    let mut total_typed = 0u32;
-    let mut goldens: Vec<Vec<Option<String>>> = Vec::new();
-    for w in workers {
-        let (ok, typed, golden) = w.join().expect("client thread");
-        total_ok += ok;
-        total_typed += typed;
-        goldens.push(golden);
-    }
-    // Zero lost requests: every one of the 10k resolved.
-    assert_eq!(total_ok + total_typed, (CLIENTS * PER_CLIENT) as u32);
-    assert!(
-        total_ok >= (CLIENTS * PER_CLIENT) as u32 * 99 / 100,
-        "too many typed errors riding out one shard death: {total_ok} ok, {total_typed} typed"
-    );
-    // Byte identity holds across clients too, not just within one.
-    for k in 0..NESTS {
-        let mut distinct: Vec<&String> = goldens.iter().filter_map(|g| g[k].as_ref()).collect();
-        distinct.dedup();
-        assert_eq!(
-            distinct.len(),
-            1,
-            "nest {k} produced different bytes for different clients"
-        );
-    }
-
-    // The supervisor noticed the death and brought the slot back.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let restarts = loop {
-        let status = fleet
-            .client(12)
-            .call("status", Value::Null, Some(5_000))
-            .expect("router status after soak");
-        let shards = shard_entries(&status);
-        let restarts: u64 = shards
-            .iter()
-            .map(|s| match s.get("restarts") {
-                Some(Value::U64(n)) => *n,
-                _ => 0,
-            })
-            .sum();
-        let all_live = shards
-            .iter()
-            .all(|s| matches!(s.get("health"), Some(Value::Str(h)) if h == "live"));
-        if restarts >= 1 && all_live {
-            assert!(counter(&status, "serve.fleet.deaths") >= 1);
-            assert!(counter(&status, "serve.fleet.restarts") >= 1);
-            break restarts;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "killed shard never came back live: {status:?}"
-        );
-        thread::sleep(Duration::from_millis(100));
-    };
-    assert!(restarts >= 1);
-
-    // The restarted shard serves its key range again: every nest
-    // resolves post-restart with the same bytes as during the soak.
-    let mut client = fleet.client(12);
-    for k in 0..NESTS {
-        let value = client
-            .call("analyze_nest", fleet_nest_params(k), Some(5_000))
-            .unwrap_or_else(|e| panic!("nest {k} unroutable after restart: {e}"));
-        let bytes = serde_json::to_string(&value).expect("serialize analyze result");
-        let golden = goldens
-            .iter()
-            .find_map(|g| g[k].as_ref())
-            .expect("soak recorded bytes for every nest");
-        assert_eq!(&bytes, golden, "nest {k} bytes changed after the restart");
-    }
-
-    // SIGTERM the fleet: router drains, supervisor drains the shards,
-    // and every process prints a final snapshot into the shared stderr.
-    let (exit, stderr) = fleet.sigterm_and_wait();
-    assert!(
-        exit.success(),
-        "fleet drain exited nonzero: {exit:?}\n{stderr}"
-    );
-    let snapshots = stderr.matches("drained; final metrics:").count();
-    assert!(
-        snapshots >= 2,
-        "expected router + shard snapshots in stderr, got {snapshots}:\n{stderr}"
-    );
-    // The verdict caches demonstrably served the soak: summed across
-    // shard snapshots, the hit counter is nonzero (8 nests x thousands
-    // of analyze calls make hits the common case).
-    let cache_hits: u64 = stderr
-        .match_indices("\"serve.cache.hits\":")
-        .map(|(at, needle)| {
-            stderr[at + needle.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse::<u64>()
-                .expect("cache hit counter parses")
-        })
-        .sum();
-    assert!(
-        cache_hits > 0,
-        "no cache hits in any final snapshot:\n{stderr}"
-    );
-    // The router's own snapshot (the last one printed) saw the fleet
-    // lifecycle.
-    let router_snapshot = &stderr[stderr
-        .rfind("drained; final metrics:")
-        .expect("router snapshot")..];
-    assert!(
-        router_snapshot.contains("serve.fleet.restarts"),
-        "router snapshot lacks fleet counters:\n{router_snapshot}"
-    );
-
-    audit_router_spans(&span_path);
-    let _ = std::fs::remove_file(&span_path);
-}
-
-/// Span audit for the fleet soak: the router exports one complete tree
-/// per request it accepted, roots carry wire correlation ids and
-/// canonical digests, and every fleet-routed success shows its `route`
-/// hop — the trace survives the extra hop intact.
-fn audit_router_spans(span_path: &std::path::Path) {
-    use std::collections::HashMap;
-
-    let text = std::fs::read_to_string(span_path).expect("read router span export");
-    let spans: Vec<SpanRecord> = text
-        .lines()
-        .map(|line| {
-            SpanRecord::from_jsonl(line)
-                .unwrap_or_else(|e| panic!("unparseable span line {line:?}: {e}"))
-        })
-        .collect();
-    assert!(!spans.is_empty(), "fleet soak produced no router spans");
-
-    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span, s)).collect();
-    assert_eq!(by_id.len(), spans.len(), "duplicate span ids in export");
-    let mut children: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
-    for span in &spans {
-        assert_ne!(span.status, "abandoned", "unclosed router span: {span}");
-        match span.parent {
-            None => {
-                assert!(span.req_id.is_some(), "root without wire id: {span}");
-                assert!(
-                    span.label == "malformed" || span.digest.is_some(),
-                    "root without a digest: {span}"
-                );
-            }
-            Some(parent) => {
-                let parent = by_id
-                    .get(&parent)
-                    .unwrap_or_else(|| panic!("orphan router span: {span}"));
-                assert_eq!(parent.request, span.request, "span crossed trees: {span}");
-                children.entry(parent.span).or_default().push(span);
-            }
-        }
-    }
-    // Every successfully routed analyze_nest shows the hop that served
-    // it; local control-plane ops (ping/status) legitimately have none.
-    let mut routed_ok = 0usize;
-    for root in spans
-        .iter()
-        .filter(|s| s.is_root() && s.label == "analyze_nest" && s.status == "ok")
-    {
-        let kids = children.get(&root.span).map_or(&[][..], Vec::as_slice);
-        assert!(
-            kids.iter().any(|k| k.label == "route" && k.status == "ok"),
-            "routed request without a successful route hop: {root}"
-        );
-        routed_ok += 1;
-    }
-    assert!(routed_ok > 0, "no successfully routed analyze_nest spans");
-    // The SIGKILL is visible in the trace: at least one failed hop.
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.label == "route" && s.status == "failed"),
-        "shard SIGKILL left no failed route hop in the trace"
-    );
 }
 
 #[test]
