@@ -6,8 +6,6 @@
 //! misses too, the working set simply does not fit (capacity), unless the
 //! line was never seen at all (compulsory).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
 use crate::addr::LineAddr;
 
 /// Outcome of consulting the shadow for one access.
@@ -21,19 +19,73 @@ pub(crate) enum ShadowVerdict {
     ColdMiss,
 }
 
+/// The end of the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// Multiplier of the multiply-shift hash (2^64 / φ): it spreads the
+/// arithmetic progressions of line addresses that strided vectors produce.
+const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Bounds on a fresh table's slot count, which is otherwise twice the
+/// capacity: room for a full cache at half load, so a trace whose working
+/// set fits never rehashes. The table doubles whenever it would pass half
+/// full.
+const MIN_SLOTS: usize = 64;
+const MAX_INITIAL_SLOTS: usize = 1 << 16;
+
+/// Largest table the `u32` list links can address.
+const MAX_SLOTS: usize = 1 << 31;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Never used since the last reset.
+    Vacant,
+    /// Holds a line the shadow has seen but since evicted.
+    Evicted,
+    /// Holds a resident line, linked into the LRU list.
+    Resident,
+}
+
+/// One table slot. `prev`/`next` link resident slots from least to most
+/// recently used and are meaningless otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: u64,
+    prev: u32,
+    next: u32,
+    state: State,
+}
+
+impl Slot {
+    const VACANT: Self = Self {
+        line: 0,
+        prev: NIL,
+        next: NIL,
+        state: State::Vacant,
+    };
+}
+
 /// A fully-associative LRU cache tracking only presence, used as the
-/// classification reference. Exposed publicly because it doubles as the
-/// "fully associative" end point in associativity ablations.
+/// classification reference.
+///
+/// One open-addressed table (multiply-shift hash, linear probing) holds
+/// every line seen since the last reset, so "seen before" and "resident
+/// now" are one lookup. Resident slots are threaded on an intrusive LRU
+/// list, so a touch and an eviction are O(1).
 #[derive(Debug, Clone)]
-pub struct ShadowCache {
+pub(crate) struct ShadowCache {
     capacity: usize,
-    // LRU queue of (line, touch generation); front = least recent. Entries
-    // whose generation no longer matches `resident` are stale duplicates
-    // left behind by re-touches and are discarded lazily.
-    queue: VecDeque<(LineAddr, u64)>,
-    resident: HashMap<LineAddr, u64>, // line -> generation of its latest touch
-    ever_seen: HashSet<LineAddr>,
-    generation: u64,
+    slots: Vec<Slot>,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    /// Occupied slots (lines seen since the last reset).
+    seen: usize,
+    /// Resident lines.
+    resident: usize,
+    /// Least recently used resident slot, or [`NIL`].
+    head: u32,
+    /// Most recently used resident slot, or [`NIL`].
+    tail: u32,
 }
 
 impl ShadowCache {
@@ -43,73 +95,162 @@ impl ShadowCache {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "shadow cache capacity must be positive");
+        let capacity = usize::try_from(capacity).unwrap_or(usize::MAX);
+        let len = capacity
+            .saturating_mul(2)
+            .checked_next_power_of_two()
+            .unwrap_or(MAX_INITIAL_SLOTS)
+            .clamp(MIN_SLOTS, MAX_INITIAL_SLOTS);
         Self {
-            capacity: capacity as usize,
-            queue: VecDeque::new(),
-            resident: HashMap::new(),
-            ever_seen: HashSet::new(),
-            generation: 0,
+            capacity,
+            slots: vec![Slot::VACANT; len],
+            shift: 64 - len.trailing_zeros(),
+            seen: 0,
+            resident: 0,
+            head: NIL,
+            tail: NIL,
         }
     }
 
     /// Touches `line`; returns the verdict *before* installing it.
     pub(crate) fn touch(&mut self, line: LineAddr) -> ShadowVerdict {
-        self.generation += 1;
-        let verdict = if self.resident.contains_key(&line) {
-            ShadowVerdict::Hit
-        } else if self.ever_seen.contains(&line) {
-            ShadowVerdict::CapacityMiss
-        } else {
-            ShadowVerdict::ColdMiss
+        let line = line.value();
+        let mut i = self.probe(line);
+        let verdict = match self.slots[i].state {
+            State::Resident => {
+                self.unlink(i);
+                ShadowVerdict::Hit
+            }
+            State::Evicted => {
+                self.resident += 1;
+                ShadowVerdict::CapacityMiss
+            }
+            State::Vacant => {
+                if 2 * (self.seen + 1) > self.slots.len() {
+                    self.grow();
+                    i = self.probe(line);
+                }
+                self.slots[i].line = line;
+                self.seen += 1;
+                self.resident += 1;
+                ShadowVerdict::ColdMiss
+            }
         };
-        self.ever_seen.insert(line);
-        self.resident.insert(line, self.generation);
-        self.queue.push_back((line, self.generation));
-        self.evict_lru();
+        self.push_mru(i);
+        if self.resident > self.capacity {
+            let lru = self.head as usize;
+            self.unlink(lru);
+            self.slots[lru].state = State::Evicted;
+            self.resident -= 1;
+        }
         verdict
     }
 
-    /// True if the shadow currently holds `line`.
-    #[must_use]
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.resident.contains_key(&line)
+    /// Forgets every line, keeping the table's allocation.
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(Slot::VACANT);
+        self.seen = 0;
+        self.resident = 0;
+        self.head = NIL;
+        self.tail = NIL;
     }
 
-    /// Lines currently resident.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// True when nothing is resident.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
-    }
-
-    /// Enforces capacity, discarding stale queue entries along the way.
-    fn evict_lru(&mut self) {
-        while self.resident.len() > self.capacity {
-            // resident ⊆ queue, so the queue cannot drain first; if it
-            // somehow did, stopping (cache temporarily over capacity) is
-            // strictly safer than aborting the simulation.
-            let Some((line, gen)) = self.queue.pop_front() else {
-                break;
-            };
-            if self.resident.get(&line) == Some(&gen) {
-                self.resident.remove(&line);
+    /// The slot holding `line`, or the vacant slot where it belongs. The
+    /// table is never more than half full, so the probe ends.
+    fn probe(&self, line: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (line.wrapping_mul(HASH_MULTIPLIER) >> self.shift) as usize;
+        loop {
+            let slot = &self.slots[i];
+            if slot.state == State::Vacant || slot.line == line {
+                return i;
             }
-            // else: stale entry for a line re-touched later; skip it.
+            i = (i + 1) & mask;
         }
-        // Hit-heavy workloads accumulate stale entries without triggering
-        // pops; compact when the queue is mostly garbage so memory stays
-        // proportional to capacity, not trace length.
-        if self.queue.len() > self.capacity.saturating_mul(2) + 16 {
-            let resident = &self.resident;
-            self.queue.retain(|(l, g)| resident.get(l) == Some(g));
+    }
+
+    /// Removes resident slot `i` from the LRU list.
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Marks slot `i` resident and links it as most recently used.
+    fn push_mru(&mut self, i: usize) {
+        let link = i as u32; // < MAX_SLOTS: `grow` never passes it
+        self.slots[i] = Slot {
+            prev: self.tail,
+            next: NIL,
+            state: State::Resident,
+            ..self.slots[i]
+        };
+        match self.tail {
+            NIL => self.head = link,
+            t => self.slots[t as usize].next = link,
+        }
+        self.tail = link;
+    }
+
+    /// Doubles the table. Residents are reinserted from least to most
+    /// recently used, so the LRU list is rebuilt by appending.
+    fn grow(&mut self) {
+        let len = self.slots.len() * 2;
+        assert!(len <= MAX_SLOTS, "shadow table outgrew its u32 links");
+        let old = std::mem::replace(&mut self.slots, vec![Slot::VACANT; len]);
+        self.shift -= 1;
+        let mut at = self.head;
+        self.head = NIL;
+        self.tail = NIL;
+        while at != NIL {
+            let slot = old[at as usize];
+            let i = self.probe(slot.line);
+            self.slots[i].line = slot.line;
+            self.push_mru(i);
+            at = slot.next;
+        }
+        for slot in old.iter().filter(|s| s.state == State::Evicted) {
+            let i = self.probe(slot.line);
+            self.slots[i] = Slot {
+                line: slot.line,
+                state: State::Evicted,
+                ..Slot::VACANT
+            };
+        }
+    }
+}
+
+#[cfg(test)]
+impl ShadowCache {
+    fn contains(&self, line: LineAddr) -> bool {
+        self.slots[self.probe(line.value())].state == State::Resident
+    }
+
+    fn len(&self) -> usize {
+        self.resident
+    }
+
+    fn is_empty(&self) -> bool {
+        self.resident == 0
+    }
+
+    /// Resident lines from least to most recently used.
+    fn lru_order(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut at = self.head;
+        while at != NIL {
+            out.push(self.slots[at as usize].line);
+            at = self.slots[at as usize].next;
+        }
+        out
     }
 }
 
@@ -167,5 +308,56 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = ShadowCache::new(0);
+    }
+
+    #[test]
+    fn growth_keeps_verdicts_and_lru_order() {
+        // The 33rd distinct line doubles the 64-slot table while 24 lines
+        // are resident: they must keep their recency order, and evicted
+        // lines their history.
+        let mut s = ShadowCache::new(24);
+        let line = |i: u64| l(i * 8191);
+        for i in 0..32 {
+            assert_eq!(s.touch(line(i)), ShadowVerdict::ColdMiss);
+        }
+        assert_eq!(s.touch(line(10)), ShadowVerdict::Hit);
+        assert_eq!(s.slots.len(), 64);
+        assert_eq!(s.touch(line(32)), ShadowVerdict::ColdMiss); // evicts 8
+        assert_eq!(s.slots.len(), 128);
+        let expect: Vec<u64> = (9..32)
+            .filter(|&i| i != 10)
+            .chain([10, 32])
+            .map(|i| i * 8191)
+            .collect();
+        assert_eq!(s.lru_order(), expect);
+        assert_eq!(s.touch(line(0)), ShadowVerdict::CapacityMiss);
+        for i in 33..1000 {
+            s.touch(line(i));
+        }
+        assert_eq!(s.slots.len(), 2048);
+        let last: Vec<u64> = (976..1000).map(|i| i * 8191).collect();
+        assert_eq!(s.lru_order(), last);
+    }
+
+    #[test]
+    fn every_line_value_is_a_key() {
+        let mut s = ShadowCache::new(2);
+        assert_eq!(s.touch(l(u64::MAX)), ShadowVerdict::ColdMiss);
+        assert_eq!(s.touch(l(0)), ShadowVerdict::ColdMiss);
+        assert_eq!(s.touch(l(u64::MAX)), ShadowVerdict::Hit);
+        assert_eq!(s.touch(l(0)), ShadowVerdict::Hit);
+    }
+
+    #[test]
+    fn clear_forgets_every_line() {
+        let mut s = ShadowCache::new(2);
+        s.touch(l(1));
+        s.touch(l(2));
+        s.touch(l(3));
+        s.clear();
+        assert!(s.is_empty());
+        assert!(s.lru_order().is_empty());
+        assert_eq!(s.touch(l(1)), ShadowVerdict::ColdMiss);
+        assert_eq!(s.touch(l(3)), ShadowVerdict::ColdMiss);
     }
 }

@@ -53,7 +53,6 @@ mod sim;
 mod stats;
 
 pub use addr::{Geometry, LineAddr, WordAddr};
-pub use classify::ShadowCache;
 pub use mapper::{IndexMapper, Mapper, Pow2Mapper, PrimeMapper};
 pub use replacement::ReplacementPolicy;
 pub use sim::{AccessResult, CacheConfigError, CacheSim, StreamId};

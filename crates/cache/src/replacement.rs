@@ -5,8 +5,6 @@
 //! to be reused. Having multiple policies lets the ablation benchmarks
 //! test that remark.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which line of a full set is evicted.
@@ -19,26 +17,6 @@ pub enum ReplacementPolicy {
     Fifo,
     /// Evict a uniformly random line (deterministic seeded RNG).
     Random,
-}
-
-impl ReplacementPolicy {
-    /// Picks the victim way among `ways` occupied entries.
-    ///
-    /// `use_order` holds way indices from least- to most-recently *used*;
-    /// `fill_order` from oldest- to newest-*filled*. Both always contain
-    /// every occupied way exactly once.
-    pub(crate) fn victim(
-        &self,
-        use_order: &[usize],
-        fill_order: &[usize],
-        rng: &mut StdRng,
-    ) -> usize {
-        match self {
-            Self::Lru => use_order[0],
-            Self::Fifo => fill_order[0],
-            Self::Random => use_order[rng.random_range(0..use_order.len())],
-        }
-    }
 }
 
 impl core::fmt::Display for ReplacementPolicy {
@@ -54,35 +32,46 @@ impl core::fmt::Display for ReplacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::{CacheSim, LineAddr, StreamId, WordAddr};
+
+    /// Fills a 3-line fully-associative cache with lines 0, 1, 2, re-uses
+    /// line 0, then misses on line 3; returns the line evicted.
+    fn evict_after_reuse(policy: ReplacementPolicy) -> Option<LineAddr> {
+        let mut c = CacheSim::fully_associative(3, 1, policy).unwrap();
+        for w in [0, 1, 2, 0] {
+            c.access(WordAddr::new(w), StreamId::new(0));
+        }
+        c.access(WordAddr::new(3), StreamId::new(0)).evicted
+    }
 
     #[test]
     fn lru_picks_least_recently_used() {
-        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            ReplacementPolicy::Lru.victim(&[2, 0, 1], &[0, 1, 2], &mut rng),
-            2
+            evict_after_reuse(ReplacementPolicy::Lru),
+            Some(LineAddr::new(1))
         );
     }
 
     #[test]
     fn fifo_picks_oldest_fill() {
-        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            ReplacementPolicy::Fifo.victim(&[2, 0, 1], &[1, 2, 0], &mut rng),
-            1
+            evict_after_reuse(ReplacementPolicy::Fifo),
+            Some(LineAddr::new(0))
         );
     }
 
     #[test]
     fn random_is_deterministic_under_seed() {
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        for _ in 0..32 {
-            let va = ReplacementPolicy::Random.victim(&[0, 1, 2, 3], &[0, 1, 2, 3], &mut a);
-            let vb = ReplacementPolicy::Random.victim(&[0, 1, 2, 3], &[0, 1, 2, 3], &mut b);
-            assert_eq!(va, vb);
-        }
+        let run = || {
+            let mut c = CacheSim::fully_associative(4, 1, ReplacementPolicy::Random).unwrap();
+            (0..64u64)
+                .map(|i| {
+                    c.access(WordAddr::new(i * 7 % 11), StreamId::new(0))
+                        .evicted
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use core::fmt;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vcache_trace::{TraceEvent, TraceSink};
 
@@ -75,11 +75,17 @@ pub enum CacheConfigError {
         /// Requested set count.
         sets: u64,
     },
+    /// More lines (sets × ways) than the simulator will allocate.
+    TooManyLines {
+        /// Requested line count (saturated at `u64::MAX`).
+        lines: u64,
+    },
 }
 
-/// Largest set count the simulator will allocate (2^28 sets ≈ gigabytes of
-/// backing store — already beyond any experiment in this repository).
-pub(crate) const MAX_SIMULATED_SETS: u64 = 1 << 28;
+/// Largest line count (sets × ways) the simulator will allocate: 2^28
+/// lines are gigabytes of backing store, already beyond any experiment in
+/// this repository. It bounds the set count too.
+pub(crate) const MAX_SIMULATED_LINES: u64 = 1 << 28;
 
 impl fmt::Display for CacheConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -106,7 +112,13 @@ impl fmt::Display for CacheConfigError {
             Self::TooManySets { sets } => {
                 write!(
                     f,
-                    "{sets} sets exceed the simulator's allocation bound of {MAX_SIMULATED_SETS}"
+                    "{sets} sets exceed the simulator's allocation bound of {MAX_SIMULATED_LINES}"
+                )
+            }
+            Self::TooManyLines { lines } => {
+                write!(
+                    f,
+                    "{lines} lines exceed the simulator's allocation bound of {MAX_SIMULATED_LINES}"
                 )
             }
         }
@@ -136,21 +148,17 @@ impl AccessResult {
     }
 }
 
-/// One resident line: its address and owning stream.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    line: LineAddr,
-    stream: StreamId,
-    last_use: u64,
-    filled_at: u64,
-}
-
 /// A trace-driven cache simulator.
 ///
 /// Construct with [`CacheSim::direct_mapped`], [`CacheSim::set_associative`],
 /// [`CacheSim::fully_associative`], or [`CacheSim::prime_mapped`]
 /// (optionally [`CacheSim::prime_mapped_associative`]), then feed word
 /// addresses through [`CacheSim::access`].
+///
+/// The cache is stored flat: slot `set · ways + way` of four parallel
+/// arrays holds one line's tag, stream and stamps. Every array starts
+/// zeroed, and an all-zero slot is empty, so construction allocates once
+/// and an access allocates nothing.
 ///
 /// # Example
 ///
@@ -169,12 +177,28 @@ pub struct CacheSim {
     geometry: Geometry,
     mapper: Mapper,
     policy: ReplacementPolicy,
-    sets: Vec<Vec<Entry>>,
+    /// Slots per set: set `s` owns slots `s · ways .. (s + 1) · ways`.
+    ways: usize,
+    /// Per slot: the resident line + 1, or 0 when empty.
+    tags: Vec<u64>,
+    /// Per slot: the stream of the resident line's latest access.
+    streams: Vec<u32>,
+    /// Per slot: the clock of the resident line's latest access, or 0
+    /// when empty (the clock is at least 1 by the first fill).
+    last_use: Vec<u64>,
+    /// Per slot: the clock at which the resident line was filled.
+    filled_at: Vec<u64>,
+    /// Scratch for Random's rank selection, reused across misses.
+    ranks: Vec<u64>,
     shadow: ShadowCache,
     stats: CacheStats,
     clock: u64,
     rng: StdRng,
 }
+
+/// Seed of the Random policy's generator (not reseeded by
+/// [`CacheSim::reset`]).
+const RANDOM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl CacheSim {
     /// A direct-mapped cache of `lines` (power of two) lines.
@@ -210,14 +234,11 @@ impl CacheSim {
         if !sets.is_power_of_two() {
             return Err(CacheConfigError::LinesNotPowerOfTwo { lines: sets });
         }
-        if sets > MAX_SIMULATED_SETS {
-            return Err(CacheConfigError::TooManySets { sets });
-        }
-        Ok(Self::build(
+        Self::build(
             Geometry::new(sets, ways, line_words),
             Mapper::Pow2(Pow2Mapper::new(sets)),
             policy,
-        ))
+        )
     }
 
     /// A fully-associative cache of `lines` lines.
@@ -236,11 +257,11 @@ impl CacheSim {
         if !line_words.is_power_of_two() {
             return Err(CacheConfigError::BadLineWords { line_words });
         }
-        Ok(Self::build(
+        Self::build(
             Geometry::new(1, lines, line_words),
             Mapper::Pow2(Pow2Mapper::new(1)),
             policy,
-        ))
+        )
     }
 
     /// The paper's prime-mapped cache: `2^c − 1` direct-mapped lines.
@@ -274,29 +295,45 @@ impl CacheSim {
             PrimeMapper::new(exponent).map_err(|e| CacheConfigError::BadMersenneExponent {
                 exponent: e.exponent(),
             })?;
-        let sets = mapper.num_sets();
-        if sets > MAX_SIMULATED_SETS {
-            return Err(CacheConfigError::TooManySets { sets });
-        }
-        Ok(Self::build(
-            Geometry::new(sets, ways, line_words),
+        Self::build(
+            Geometry::new(mapper.num_sets(), ways, line_words),
             Mapper::Prime(mapper),
             policy,
-        ))
+        )
     }
 
-    fn build(geometry: Geometry, mapper: Mapper, policy: ReplacementPolicy) -> Self {
-        let sets = vec![Vec::new(); geometry.sets() as usize];
-        Self {
+    /// Allocates the slot arrays once the geometry passes the allocation
+    /// bound, which every constructor funnels through.
+    fn build(
+        geometry: Geometry,
+        mapper: Mapper,
+        policy: ReplacementPolicy,
+    ) -> Result<Self, CacheConfigError> {
+        let sets = geometry.sets();
+        if sets > MAX_SIMULATED_LINES {
+            return Err(CacheConfigError::TooManySets { sets });
+        }
+        let lines = sets.saturating_mul(geometry.ways());
+        if lines > MAX_SIMULATED_LINES {
+            return Err(CacheConfigError::TooManyLines { lines });
+        }
+        // Both fit: they are at most 2^28.
+        let (slots, ways) = (lines as usize, geometry.ways() as usize);
+        Ok(Self {
             geometry,
             mapper,
             policy,
-            sets,
-            shadow: ShadowCache::new(geometry.total_lines()),
+            ways,
+            tags: vec![0; slots],
+            streams: vec![0; slots],
+            last_use: vec![0; slots],
+            filled_at: vec![0; slots],
+            ranks: Vec::new(),
+            shadow: ShadowCache::new(lines),
             stats: CacheStats::default(),
             clock: 0,
-            rng: StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15),
-        }
+            rng: StdRng::seed_from_u64(RANDOM_SEED),
+        })
     }
 
     /// The geometry in effect.
@@ -333,8 +370,16 @@ impl CacheSim {
     #[must_use]
     pub fn contains(&self, word: WordAddr) -> bool {
         let line = word.line(self.geometry.line_words());
-        let set = self.mapper.index(line) as usize;
-        self.sets[set].iter().any(|e| e.line == line)
+        let first = self.mapper.index(line) as usize * self.ways;
+        let key = line.value().wrapping_add(1);
+        (first..first + self.ways).any(|slot| self.holds(slot, key))
+    }
+
+    /// True if `slot` holds the line tagged `key`. The one line whose tag
+    /// wraps to the empty tag 0 (`u64::MAX`) is told from an empty slot by
+    /// its use stamp.
+    fn holds(&self, slot: usize, key: u64) -> bool {
+        self.tags[slot] == key && (key != 0 || self.last_use[slot] != 0)
     }
 
     /// Accesses `word` on behalf of `stream`, updating residency, the
@@ -342,40 +387,44 @@ impl CacheSim {
     pub fn access(&mut self, word: WordAddr, stream: StreamId) -> AccessResult {
         self.clock += 1;
         let line = word.line(self.geometry.line_words());
-        let set_idx = self.mapper.index(line);
+        let set = self.mapper.index(line);
         let verdict = self.shadow.touch(line);
-        let set = &mut self.sets[set_idx as usize];
+        let key = line.value().wrapping_add(1);
+        let first = set as usize * self.ways;
 
-        if let Some(entry) = set.iter_mut().find(|e| e.line == line) {
-            entry.last_use = self.clock;
-            entry.stream = stream;
+        let hit = if self.ways == 1 {
+            self.holds(first, key).then_some(first)
+        } else {
+            (first..first + self.ways).find(|&slot| self.holds(slot, key))
+        };
+        if let Some(slot) = hit {
+            self.last_use[slot] = self.clock;
+            self.streams[slot] = stream.value();
             self.stats.record_hit();
             return AccessResult {
                 line,
-                set: set_idx,
+                set,
                 miss: None,
                 evicted: None,
             };
         }
 
-        // Miss: pick a victim if the set is full.
-        let evicted = if (set.len() as u64) < self.geometry.ways() {
-            None
+        // Miss: fill an empty slot, or replace the policy's victim.
+        let slot = if self.ways == 1 {
+            first
         } else {
-            let mut use_order: Vec<usize> = (0..set.len()).collect();
-            use_order.sort_by_key(|&i| set[i].last_use);
-            let mut fill_order: Vec<usize> = (0..set.len()).collect();
-            fill_order.sort_by_key(|&i| set[i].filled_at);
-            let victim = self.policy.victim(&use_order, &fill_order, &mut self.rng);
-            Some(set.swap_remove(victim))
+            self.victim(first)
         };
-
-        set.push(Entry {
-            line,
-            stream,
-            last_use: self.clock,
-            filled_at: self.clock,
+        let evicted = (self.last_use[slot] != 0).then(|| {
+            (
+                LineAddr::new(self.tags[slot].wrapping_sub(1)),
+                self.streams[slot],
+            )
         });
+        self.tags[slot] = key;
+        self.streams[slot] = stream.value();
+        self.last_use[slot] = self.clock;
+        self.filled_at[slot] = self.clock;
 
         let kind = match verdict {
             ShadowVerdict::ColdMiss => MissKind::Compulsory,
@@ -387,7 +436,7 @@ impl CacheSim {
                 // attribute by the stream of whatever displaced it; lacking
                 // that history, fall back on the incoming stream (self).
                 match evicted {
-                    Some(e) if e.stream != stream => MissKind::ConflictCross,
+                    Some((_, owner)) if owner != stream.value() => MissKind::ConflictCross,
                     _ => MissKind::ConflictSelf,
                 }
             }
@@ -396,9 +445,43 @@ impl CacheSim {
 
         AccessResult {
             line,
-            set: set_idx,
+            set,
             miss: Some(kind),
-            evicted: evicted.map(|e| e.line),
+            evicted: evicted.map(|(line, _)| line),
+        }
+    }
+
+    /// The slot a miss into the set whose first slot is `first` fills.
+    ///
+    /// Empty slots carry use stamp 0, so while the set has one the least
+    /// recently used slot is empty and gets the line. In a full set every
+    /// stamp is distinct and the policy decides: LRU takes the smallest use
+    /// stamp, FIFO the smallest fill stamp, and Random draws a rank `r`
+    /// uniformly from `0..ways` and takes the slot whose use stamp is the
+    /// `r`-th smallest.
+    fn victim(&mut self, first: usize) -> usize {
+        let set = first..first + self.ways;
+        let oldest = |stamps: &[u64]| {
+            set.clone()
+                .min_by_key(|&slot| stamps[slot])
+                .unwrap_or(first)
+        };
+        let lru = oldest(&self.last_use);
+        if self.last_use[lru] == 0 {
+            return lru;
+        }
+        match self.policy {
+            ReplacementPolicy::Lru => lru,
+            ReplacementPolicy::Fifo => oldest(&self.filled_at),
+            ReplacementPolicy::Random => {
+                let rank = self.rng.random_range(0..self.ways);
+                self.ranks.clear();
+                self.ranks.extend_from_slice(&self.last_use[set.clone()]);
+                let stamp = *self.ranks.select_nth_unstable(rank).1;
+                set.clone()
+                    .find(|&slot| self.last_use[slot] == stamp)
+                    .unwrap_or(lru)
+            }
         }
     }
 
@@ -490,12 +573,14 @@ impl CacheSim {
         self.stats().conflict_misses()
     }
 
-    /// Empties the cache and clears counters.
+    /// Empties the cache and clears counters. The Random policy's
+    /// generator keeps its state.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.shadow = ShadowCache::new(self.geometry.total_lines());
+        self.tags.fill(0);
+        self.streams.fill(0);
+        self.last_use.fill(0);
+        self.filled_at.fill(0);
+        self.shadow.clear();
         self.stats = CacheStats::default();
         self.clock = 0;
     }
@@ -547,6 +632,27 @@ mod tests {
             CacheSim::fully_associative(0, 1, ReplacementPolicy::Lru),
             Err(CacheConfigError::ZeroSize)
         ));
+        // Sets within bound but sets × ways past it: 2^20 sets of 2^20 ways.
+        assert_eq!(
+            CacheSim::set_associative(1 << 40, 1 << 20, 1, ReplacementPolicy::Lru).err(),
+            Some(CacheConfigError::TooManyLines { lines: 1 << 40 })
+        );
+        assert_eq!(
+            CacheSim::fully_associative((1 << 28) + 1, 1, ReplacementPolicy::Lru).err(),
+            Some(CacheConfigError::TooManyLines {
+                lines: (1 << 28) + 1
+            })
+        );
+        assert_eq!(
+            CacheSim::prime_mapped_associative(13, 1 << 20, 1, ReplacementPolicy::Lru).err(),
+            Some(CacheConfigError::TooManyLines { lines: 8191 << 20 })
+        );
+        // sets × ways overflows u64: reported saturated, not wrapped.
+        assert_eq!(
+            CacheSim::prime_mapped_associative(19, u64::MAX, 1, ReplacementPolicy::Lru).err(),
+            Some(CacheConfigError::TooManyLines { lines: u64::MAX })
+        );
+        assert!(CacheSim::fully_associative(1 << 28, 1, ReplacementPolicy::Lru).is_ok());
     }
 
     #[test]
@@ -558,6 +664,7 @@ mod tests {
             CacheConfigError::BadMersenneExponent { exponent: 11 },
             CacheConfigError::ZeroSize,
             CacheConfigError::TooManySets { sets: 1 << 61 },
+            CacheConfigError::TooManyLines { lines: 1 << 40 },
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -653,6 +760,39 @@ mod tests {
         c.access(WordAddr::new(0), s0()); // reuse does not save line 0 under FIFO
         let r = c.access(WordAddr::new(4), s0());
         assert_eq!(r.evicted, Some(LineAddr::new(0)));
+    }
+
+    #[test]
+    fn random_victim_is_the_slot_at_the_drawn_lru_rank() {
+        let mut c = CacheSim::fully_associative(4, 1, ReplacementPolicy::Random).unwrap();
+        // Fill lines 0..4, then re-use them so LRU order is 2, 0, 3, 1.
+        for w in [0, 1, 2, 3, 2, 0, 3, 1] {
+            c.access(WordAddr::new(w), s0());
+        }
+        let rank = StdRng::seed_from_u64(RANDOM_SEED).random_range(0..4usize);
+        let r = c.access(WordAddr::new(9), s0());
+        assert_eq!(r.evicted, Some(LineAddr::new([2, 0, 3, 1][rank])));
+    }
+
+    #[test]
+    fn the_largest_line_address_is_not_an_empty_slot() {
+        // Its tag wraps to the empty tag 0; a cold cache must still miss.
+        for mut c in [
+            CacheSim::direct_mapped(8, 1).unwrap(),
+            CacheSim::set_associative(8, 2, 1, ReplacementPolicy::Lru).unwrap(),
+        ] {
+            let top = WordAddr::new(u64::MAX);
+            assert!(!c.contains(top));
+            assert_eq!(c.access(top, s0()).miss, Some(MissKind::Compulsory));
+            assert!(c.contains(top));
+            assert!(c.access(top, s0()).is_hit());
+            let r = c.access(WordAddr::new(7), s0()); // same set as u64::MAX
+            if c.geometry().ways() == 1 {
+                assert_eq!(r.evicted, Some(LineAddr::new(u64::MAX)));
+            } else {
+                assert!(c.contains(top));
+            }
+        }
     }
 
     #[test]

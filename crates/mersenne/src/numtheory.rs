@@ -7,7 +7,8 @@
 //! exact functions implemented here, plus a deterministic primality test
 //! used to validate the Mersenne exponent table.
 
-/// Greatest common divisor (binary-friendly Euclid).
+/// Greatest common divisor, by Stein's binary algorithm: shifts and
+/// subtractions, no division.
 ///
 /// `gcd(0, 0)` is defined as 0.
 ///
@@ -19,11 +20,24 @@
 /// assert_eq!(gcd(8191, 8192), 1); // Mersenne prime vs its power of two
 /// ```
 #[must_use]
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
+pub fn gcd(a: u64, b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
     }
-    a
+    // The common power of two, then the odd parts by repeated
+    // subtraction: the difference of two odd numbers is even, so each
+    // step strips at least one bit.
+    let shift = (a | b).trailing_zeros();
+    let mut a = a >> a.trailing_zeros();
+    let mut b = b >> b.trailing_zeros();
+    while a != b {
+        if a > b {
+            core::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        b >>= b.trailing_zeros();
+    }
+    a << shift
 }
 
 /// Least common multiple. Returns 0 if either argument is 0.

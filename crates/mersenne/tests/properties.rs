@@ -5,6 +5,27 @@ use vcache_mersenne::congruence::CrossConflict;
 use vcache_mersenne::numtheory::{gcd, lcm, mod_inverse, mod_mul, solve_linear_congruence};
 use vcache_mersenne::{FoldingAdder, MersenneModulus, MERSENNE_EXPONENTS};
 
+/// Euclid's remainder loop: the reference the binary `gcd` is pinned to.
+fn euclid_gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Zero, powers of two, `u64::MAX`, values with many trailing zeros, and
+/// arbitrary values of every magnitude.
+fn arb_gcd_operand() -> impl Strategy<Value = u64> {
+    (0u8..6, any::<u64>(), 0u32..64).prop_map(|(kind, x, k)| match kind {
+        0 => 0,
+        1 => 1 << k,
+        2 => u64::MAX,
+        3 => x << k,
+        4 => x >> k,
+        _ => x,
+    })
+}
+
 fn arb_modulus() -> impl Strategy<Value = MersenneModulus> {
     prop::sample::select(MERSENNE_EXPONENTS.to_vec())
         .prop_map(|c| MersenneModulus::new(c).expect("table exponent"))
@@ -72,6 +93,11 @@ proptest! {
         prop_assume!(r != 0);
         let inv = mod_inverse(r, v).expect("prime modulus: inverse exists");
         prop_assert_eq!(mod_mul(r, inv, v), 1);
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid(a in arb_gcd_operand(), b in arb_gcd_operand()) {
+        prop_assert_eq!(gcd(a, b), euclid_gcd(a, b), "gcd({}, {})", a, b);
     }
 
     #[test]

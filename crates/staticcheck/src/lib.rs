@@ -44,9 +44,11 @@
 //! geometry switches — run by `vcache check --probabilistic`.
 //!
 //! All layers are wired into `vcache check` and `scripts/ci.sh` as a
-//! failing gate. Property tests (see `tests/properties.rs` and
-//! `tests/nests.rs`) check the static verdicts against the
-//! cycle-accurate [`CacheSim`] miss classification.
+//! failing gate. A requested layer whose report section comes back
+//! without a row is a `VC107` finding, so no layer passes vacuously.
+//! Property tests (see `tests/properties.rs` and `tests/nests.rs`) check
+//! the static verdicts against the cycle-accurate [`CacheSim`] miss
+//! classification.
 //!
 //! [`CacheSim`]: https://docs.rs/vcache-cache
 
@@ -247,16 +249,7 @@ fn run_check_inner(
         });
     }
 
-    // The allowlist only makes sense against a source scan: without one,
-    // every entry would look stale (VC006) in a `--programs`-only run.
-    // It runs after all layers (any finding is suppressible) and outside
-    // any phase — it is a microsecond-scale filter, not analysis work.
-    if options.src {
-        let entries = read_allowlist(&options.root)?;
-        allowlist::apply(&mut findings, &entries, ALLOWLIST_FILE);
-    }
-
-    Ok(Report {
+    let mut report = Report {
         findings,
         suite: suite_results,
         nests: nest_results,
@@ -266,7 +259,84 @@ fn run_check_inner(
         workloads: workload_results,
         probabilistic: probabilistic_results,
         advisories,
-    })
+    };
+    let empty = empty_sections(options, &report);
+    report.findings.extend(empty);
+
+    // The allowlist only makes sense against a source scan: without one,
+    // every entry would look stale (VC006) in a `--programs`-only run.
+    // It runs after all layers (any finding is suppressible) and outside
+    // any phase — it is a microsecond-scale filter, not analysis work.
+    if options.src {
+        let entries = read_allowlist(&options.root)?;
+        allowlist::apply(&mut report.findings, &entries, ALLOWLIST_FILE);
+    }
+    Ok(report)
+}
+
+/// A `VC107` finding for each report section that a requested layer
+/// fills but that came back without a row: a layer that silently
+/// produced nothing fails the gate instead of passing it vacuously.
+fn empty_sections(options: &CheckOptions, report: &Report) -> Vec<Finding> {
+    let nests_prescribe = options.nests && options.prescribe;
+    let probabilistic_prescribe = options.probabilistic && options.prescribe;
+    let sections = [
+        (
+            options.programs,
+            "--programs",
+            "suite",
+            report.suite.is_empty(),
+        ),
+        (options.nests, "--nests", "nests", report.nests.is_empty()),
+        (
+            options.nests,
+            "--nests",
+            "battery",
+            report.battery.is_empty(),
+        ),
+        (
+            nests_prescribe,
+            "--nests --prescribe",
+            "certificates",
+            report.certificates.is_empty(),
+        ),
+        (
+            nests_prescribe,
+            "--nests --prescribe",
+            "alternatives",
+            report.alternatives.is_empty(),
+        ),
+        (
+            options.workloads,
+            "--workloads",
+            "workloads",
+            report.workloads.is_empty(),
+        ),
+        (
+            options.probabilistic,
+            "--probabilistic",
+            "probabilistic",
+            report.probabilistic.is_empty(),
+        ),
+        (
+            probabilistic_prescribe,
+            "--probabilistic --prescribe",
+            "advisories",
+            report.advisories.is_empty(),
+        ),
+    ];
+    sections
+        .into_iter()
+        .filter(|&(requested, _, _, empty)| requested && empty)
+        .map(|(_, switches, section, _)| Finding {
+            rule: "VC107".into(),
+            path: format!("check:{section}"),
+            line: 0,
+            message: format!("`{switches}` was requested but produced no `{section}` rows"),
+            snippet: String::new(),
+            allowed: false,
+        })
+        .collect()
 }
 
 fn read_allowlist(root: &Path) -> Result<Vec<allowlist::AllowEntry>, CheckError> {
@@ -387,6 +457,53 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("probabilistic conflict analysis"), "{text}");
         assert!(text.contains("geometry advisories"), "{text}");
+    }
+
+    #[test]
+    fn an_empty_requested_section_is_a_vc107_finding() {
+        let every = CheckOptions {
+            root: PathBuf::from("/nonexistent-vcache-root"),
+            src: true,
+            programs: true,
+            nests: true,
+            prescribe: true,
+            workloads: true,
+            probabilistic: true,
+        };
+        let empty = Report::default();
+        let findings = empty_sections(&every, &empty);
+        let paths: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "check:suite",
+                "check:nests",
+                "check:battery",
+                "check:certificates",
+                "check:alternatives",
+                "check:workloads",
+                "check:probabilistic",
+                "check:advisories",
+            ]
+        );
+        assert!(findings.iter().all(|f| f.rule == "VC107" && !f.allowed));
+        assert_eq!(
+            findings[3].message,
+            "`--nests --prescribe` was requested but produced no `certificates` rows"
+        );
+        let mut report = empty.clone();
+        report.findings = findings;
+        assert!(!report.is_clean());
+        // Sections no switch asked for may stay empty.
+        let src_only = CheckOptions {
+            programs: false,
+            nests: false,
+            prescribe: true,
+            workloads: false,
+            probabilistic: false,
+            ..every
+        };
+        assert!(empty_sections(&src_only, &empty).is_empty());
     }
 
     #[test]

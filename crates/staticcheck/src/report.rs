@@ -12,7 +12,7 @@ use crate::suite::SuiteResult;
 use crate::worksuite::WorkloadSuiteResult;
 
 /// The combined outcome of a `vcache check` run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Report {
     /// All findings, allowlisted ones included (marked `allowed`).
     pub findings: Vec<Finding>,

@@ -231,7 +231,10 @@ impl TraceEvent {
             "cache" => Ok(Self::CacheAccess {
                 seq: need_u64(&fields, "seq")?,
                 word: need_u64(&fields, "word")?,
-                stream: need_u64(&fields, "stream")? as u32,
+                stream: {
+                    let v = need_u64(&fields, "stream")?;
+                    u32::try_from(v).map_err(|_| ParseError::BadValue("stream", v.to_string()))?
+                },
                 set: need_u64(&fields, "set")?,
                 miss: match opt_str(&fields, "miss")? {
                     None => None,
@@ -572,6 +575,16 @@ mod tests {
         ] {
             assert!(TraceEvent::from_jsonl(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn a_stream_id_past_u32_is_a_bad_value_not_a_wrapped_one() {
+        let line = "{\"ev\":\"cache\",\"seq\":1,\"word\":1,\"stream\":4294967301,\
+                    \"set\":0,\"miss\":null,\"evicted\":null}";
+        assert_eq!(
+            TraceEvent::from_jsonl(line),
+            Err(ParseError::BadValue("stream", "4294967301".into()))
+        );
     }
 
     #[test]

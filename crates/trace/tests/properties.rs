@@ -1,9 +1,11 @@
 //! Property tests for the trace layer: the ring buffer never exceeds its
 //! capacity and keeps the most recent events in order, histogram counts
-//! always sum to the observation total, and the JSONL wire format
-//! round-trips every event unchanged.
+//! always sum to the observation total, the JSONL wire format
+//! round-trips every event unchanged, and arbitrary or damaged trace
+//! bytes come back as events or typed per-line errors, never a panic.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use vcache_trace::{
     analyze, BankEventKind, Histogram, MissClass, PhaseKind, RingSink, TraceEvent, TraceSink,
 };
@@ -71,7 +73,76 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
         })
 }
 
+/// `line` cut to `cut` bytes (when shorter), then each `(at, byte)`
+/// overwriting the byte at `at` modulo the length: a torn or corrupted
+/// trace line.
+fn damage(line: &str, cut: usize, flips: &[(usize, u8)]) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    bytes.truncate(cut);
+    if !bytes.is_empty() {
+        let len = bytes.len();
+        for &(at, byte) in flips {
+            bytes[at % len] = byte;
+        }
+    }
+    bytes
+}
+
+/// Reads `file` and checks the reader's accounting: every line that is
+/// not blank yields exactly one event or one failure, failures name
+/// their lines in order, and every event re-serializes to itself.
+fn reads_every_line_or_reports_it(file: &[u8]) -> Result<(), TestCaseError> {
+    let (events, failures) = analyze::read_jsonl(file).unwrap();
+    let mut lines: Vec<&[u8]> = file.split(|&b| b == b'\n').collect();
+    if file.ends_with(b"\n") || file.is_empty() {
+        lines.pop();
+    }
+    let blank = lines
+        .iter()
+        .filter(|l| std::str::from_utf8(l).is_ok_and(|t| t.trim().is_empty()))
+        .count();
+    prop_assert_eq!(events.len() + failures.len(), lines.len() - blank);
+    let numbers: Vec<usize> = failures.iter().map(|(n, _)| *n).collect();
+    prop_assert!(numbers.windows(2).all(|w| w[0] < w[1]), "{:?}", numbers);
+    prop_assert!(numbers.iter().all(|&n| (1..=lines.len()).contains(&n)));
+    for e in &events {
+        let again = TraceEvent::from_jsonl(&e.to_jsonl());
+        prop_assert_eq!(again.as_ref(), Ok(e));
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn arbitrary_bytes_are_events_or_typed_line_errors(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+    ) {
+        if let Err(e) = TraceEvent::from_jsonl(&String::from_utf8_lossy(&bytes)) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        reads_every_line_or_reports_it(&bytes)?;
+    }
+
+    #[test]
+    fn damaged_trace_lines_are_events_or_typed_line_errors(
+        events in prop::collection::vec(arb_event(), 1..12),
+        cuts in prop::collection::vec(0usize..200, 12),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+    ) {
+        let mut file = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            let line = e.to_jsonl();
+            let flips = if i % 2 == 0 { &flips[..] } else { &[] };
+            let bytes = damage(&line, cuts[i], flips);
+            if let Err(err) = TraceEvent::from_jsonl(&String::from_utf8_lossy(&bytes)) {
+                prop_assert!(!err.to_string().is_empty());
+            }
+            file.extend_from_slice(&bytes);
+            file.push(b'\n');
+        }
+        reads_every_line_or_reports_it(&file)?;
+    }
+
     #[test]
     fn ring_never_exceeds_capacity_and_keeps_recent_order(
         events in prop::collection::vec(arb_event(), 0..200),

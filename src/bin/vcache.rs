@@ -70,7 +70,8 @@ USAGE:
       verdicts for every non-affine workload under both mappers,
       validated by seeded Monte-Carlo sweeps (VC105 on drift; with
       --prescribe, also quantified SwitchToPrime advisories). With no
-      layer switch, all layers run. Exits non-zero on any finding not
+      layer switch, all layers run. A requested layer that produces no
+      rows is a VC107 finding. Exits non-zero on any finding not
       covered by the allowlist.
   vcache serve [--addr <A>] [--unix <PATH>] [--workers <N>] [--queue <N>]
                [--deadline-ms <N>] [--retry-after-ms <N>] [--faults <SPEC>] [--root <DIR>]

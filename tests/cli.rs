@@ -1,6 +1,7 @@
 //! End-to-end checks of the `vcache` binary's command-line surface: a
-//! typo'd flag fails naming the flag, and a reader that closes the pipe
-//! early (`vcache analyze … | head -1`) ends the command with exit 0.
+//! typo'd flag fails naming the flag, a cache too large to simulate fails
+//! with a typed message instead of aborting, and a reader that closes the
+//! pipe early (`vcache analyze … | head -1`) ends the command with exit 0.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -52,4 +53,21 @@ fn a_typo_in_a_flag_fails_naming_it() {
     assert!(output.stdout.is_empty(), "planned despite the typo");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("`--exponnent`"), "{stderr}");
+}
+
+#[test]
+fn a_cache_past_the_line_bound_fails_with_a_typed_message() {
+    // 2^20 sets of 2^20 ways: the set count is in bound, the line count
+    // (2^40) is not.
+    let output = Command::new(BIN)
+        .args(["simulate", "--cache", "assoc:1099511627776:1048576"])
+        .args(["--stride", "1", "--length", "10"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("1099511627776 lines exceed the simulator's allocation bound of 268435456"),
+        "{stderr}"
+    );
 }
