@@ -1,25 +1,23 @@
 //! Pins the Layer-3 abstract interpreter's complexity: `analyze_nest`
 //! is O(refs²) in the number of references and — crucially —
-//! independent of trip counts when the abstract rules discharge every
-//! component. The same nest shape analyzed at trips 2^8, 2^16, and
-//! 2^24 must (a) never fall back to enumeration (`enumerated_lines ==
-//! 0`) and (b) show flat analysis time across the 65536× trip range.
+//! independent of trip counts when the relational domain decides every
+//! component symbolically. The same nest shape analyzed at trips 2^8,
+//! 2^16, and 2^24 must (a) never fall back to enumeration
+//! (`enumerated_lines == 0`) and (b) show flat analysis time across the
+//! 65536× trip range.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use vcache_check::{
-    analyze_nest, analyze_nest_with_budget, AffineRef, Geometry, LoopNest, NestBudget, Term,
-};
+use vcache_check::{analyze_nest, AffineRef, Geometry, LoopNest, Term};
 
 const TRIPS: [u64; 3] = [1 << 8, 1 << 16, 1 << 24];
 
 /// An 8-reference nest of line-aligned progressions with line stride 8
-/// and bases staggered across the 8 cosets of ⟨8⟩ in Z_4096: within a
-/// reference the window/orbit rules decide, and every cross pair is
-/// CosetDisjoint (or PairWindow at the small trip) — no component ever
-/// needs enumeration, so analysis cost depends only on the reference
-/// count.
+/// and bases staggered across the 8 cosets of ⟨8⟩ in Z_4096: each
+/// reference is one exact progression and every cross pair lies in
+/// disjoint residue cosets, so no component ever needs enumeration and
+/// analysis cost depends only on the reference count.
 fn nest_with_trip(trip: u64) -> LoopNest {
     let refs = (0..8u64)
         .map(|r| {
@@ -94,9 +92,8 @@ fn bench_analyze_nest(c: &mut Criterion) {
 
 /// The `Shape::Lattice` family: an unaligned leading dimension
 /// (`8196 % 8 != 0`) whose per-iteration lines do not form a clean
-/// window or orbit. Before the relational domain these components
-/// always fell back to enumeration, costing O(points); the congruence
-/// classes + residue reasoning now settle them symbolically.
+/// window or orbit. Congruence-class splitting and the residue solvers
+/// settle it symbolically.
 fn lattice_nest(trip: u64) -> LoopNest {
     LoopNest::new(
         format!("lattice[trip={trip}]"),
@@ -112,86 +109,25 @@ fn lattice_geometry() -> Geometry {
     Geometry::pow2(8192, 8).expect("valid geometry")
 }
 
-/// p99 wall time (seconds) of `runs` analyses under `budget`.
-fn p99_analysis_time(
-    nest: &LoopNest,
-    geometry: &Geometry,
-    budget: &NestBudget<'_>,
-    runs: usize,
-) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            let analysis = analyze_nest_with_budget(black_box(nest), black_box(geometry), budget);
-            let elapsed = start.elapsed().as_secs_f64();
-            assert!(analysis.is_ok());
-            elapsed
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[(samples.len() - 1).min(samples.len() * 99 / 100)]
-}
-
 fn bench_lattice_family(c: &mut Criterion) {
     let geometry = lattice_geometry();
-    let relational = NestBudget::default();
-    let fallback = NestBudget {
-        relational: false,
-        ..NestBudget::default()
-    };
 
-    // Both paths must agree on the verdict, and only the fallback path
-    // may materialize lines — that is the regression this bench pins.
+    // The regression this bench pins: the family never materializes a
+    // line.
     for trip in [1u64 << 8, 1 << 12] {
-        let nest = lattice_nest(trip);
-        let symbolic =
-            analyze_nest_with_budget(&nest, &geometry, &relational).expect("relational analysis");
-        let walked =
-            analyze_nest_with_budget(&nest, &geometry, &fallback).expect("fallback analysis");
+        let analysis = analyze_nest(&lattice_nest(trip), &geometry).expect("relational analysis");
         assert_eq!(
-            symbolic.verdict, walked.verdict,
-            "trip {trip}: paths disagree"
-        );
-        assert_eq!(
-            symbolic.enumerated_lines, 0,
+            analysis.enumerated_lines, 0,
             "trip {trip}: relational path enumerated lines"
         );
-        assert!(
-            walked.enumerated_lines > 0,
-            "trip {trip}: fallback path no longer enumerates — bench is vacuous"
-        );
     }
-
-    // The tentpole claim in tail-latency terms: on a lattice component
-    // the relational domain's p99 is far below the enumeration path's
-    // (the gap widens with trips; 4x at this size is conservative —
-    // measured gaps are 100x+ in release builds).
-    let nest = lattice_nest(1 << 12);
-    let p99_relational = p99_analysis_time(&nest, &geometry, &relational, 50);
-    let p99_fallback = p99_analysis_time(&nest, &geometry, &fallback, 50);
-    assert!(
-        p99_relational * 4.0 < p99_fallback,
-        "relational p99 {p99_relational:.6}s does not drop vs fallback p99 {p99_fallback:.6}s"
-    );
 
     let mut group = c.benchmark_group("analyze_nest_lattice");
     for trip in [1u64 << 8, 1 << 12] {
         let nest = lattice_nest(trip);
         group.bench_function(
             &format!("relational_trips_2e{}", trip.trailing_zeros()),
-            |b| {
-                b.iter(|| {
-                    analyze_nest_with_budget(black_box(&nest), black_box(&geometry), &relational)
-                })
-            },
-        );
-        group.bench_function(
-            &format!("fallback_trips_2e{}", trip.trailing_zeros()),
-            |b| {
-                b.iter(|| {
-                    analyze_nest_with_budget(black_box(&nest), black_box(&geometry), &fallback)
-                })
-            },
+            |b| b.iter(|| analyze_nest(black_box(&nest), black_box(&geometry))),
         );
     }
     group.finish();

@@ -13,10 +13,10 @@
 //!   fixed worker pool; a panicking handler yields a typed
 //!   `internal_error` response and the daemon keeps serving.
 //! * **Deadlines** — per-request deadlines are enforced cooperatively
-//!   through the abstract interpreter's enumeration budget
+//!   through the abstract interpreter's budget
 //!   ([`vcache_check::NestBudget`]); a too-slow analysis aborts within
-//!   one budget-check quantum as `deadline_exceeded`, never a hung
-//!   connection.
+//!   one component decision or one enumeration quantum as
+//!   `deadline_exceeded`, never a hung connection.
 //! * **Backpressure** — the request queue is bounded; excess load is
 //!   shed immediately with `overloaded` plus a retry-after hint.
 //! * **Graceful drain** — shutdown (signal or `shutdown` op) stops the

@@ -16,9 +16,11 @@
 //! bounded; when full, requests are shed immediately with `overloaded`
 //! plus a retry-after hint rather than queuing without bound. Deadlines
 //! are enforced *cooperatively*: the worker threads a cancellation
-//! callback into the abstract interpreter's [`NestBudget`], so a
-//! too-slow analysis aborts within one budget-check quantum and the
-//! client gets `deadline_exceeded`, never a hung connection.
+//! callback into the abstract interpreter's [`NestBudget`], which polls
+//! it before each component's symbolic decision and every enumeration
+//! quantum, so a too-slow analysis aborts within one component decision
+//! or one quantum and the client gets `deadline_exceeded`, never a hung
+//! connection.
 //!
 //! Shutdown ([`ShutdownHandle::trigger`], a `shutdown` request, or a
 //! signal wired up by the binary) stops the accept loops, drains every

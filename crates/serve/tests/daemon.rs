@@ -143,6 +143,67 @@ fn deadline_exceeded_is_typed_and_the_worker_stays_usable() {
     runner.join().unwrap();
 }
 
+/// Twelve references, each walking three odd strides over two rows 8300
+/// lines apart, bases a million words apart, under the 8191-set prime
+/// mapper. No reference's congruence split overflows, so the relational
+/// domain decides every component without enumerating — yet the 78
+/// components take seconds together, and only the poll before each
+/// component's decision can see a deadline.
+fn symbolic_slow_nest() -> LoopNest {
+    let refs = (0..12u32)
+        .map(|i| {
+            let terms = [(3, 20), (5, 24), (7, 24), (66_400, 2)]
+                .map(|(coeff, trip)| Term { coeff, trip })
+                .to_vec();
+            AffineRef::new(u64::from(i) * 1_000_000, terms, i)
+        })
+        .collect();
+    LoopNest::new("symbolic-slow", refs)
+}
+
+#[test]
+fn deadline_holds_when_every_component_decides_symbolically() {
+    let nest = symbolic_slow_nest();
+    assert!(nest
+        .refs
+        .iter()
+        .all(|r| vcache_check::relational::class_lattices(r, 8).is_ok()));
+    let (addr, handle, _metrics, runner) = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut request = Request::new(43, "analyze_nest");
+    request.params = Value::Obj(vec![
+        ("nest".to_string(), nest.to_value()),
+        (
+            "geometry".to_string(),
+            Value::Obj(vec![
+                ("kind".to_string(), Value::Str("prime".into())),
+                ("exponent".to_string(), Value::U64(13)),
+                ("line_words".to_string(), Value::U64(8)),
+            ]),
+        ),
+    ]);
+    request.deadline_ms = Some(50);
+    let started = Instant::now();
+    let response = raw_call(&addr, &request);
+    let elapsed = started.elapsed();
+    match response.outcome {
+        Err(body) => {
+            assert_eq!(body.code, ErrorCode::DeadlineExceeded, "{}", body.message);
+        }
+        Ok(v) => panic!("expected deadline_exceeded, got success: {v:?}"),
+    }
+    // The abort comes within one component's decision of the deadline,
+    // not after the whole nest.
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "deadline response took {elapsed:?}"
+    );
+    handle.trigger();
+    runner.join().unwrap();
+}
+
 #[test]
 fn panicking_handlers_yield_typed_errors_and_the_pool_survives() {
     let plan = FaultPlan::parse("seed=3,panic=1.0").unwrap();

@@ -14,43 +14,35 @@
 //! * [`Shape::Lattice`] — only the interval and congruence hold (the
 //!   footprint is a subset of the described lattice).
 //!
-//! Decision rules then prove conflict freedom or exhibit collisions per
-//! *component* — each reference against itself, each reference pair:
+//! Line sets bound the footprint for the capacity classification and
+//! drive the enumeration fallback. Conflict freedom itself is decided
+//! per *component* — each reference against itself, each reference
+//! pair — by one procedure, the relational domain
+//! ([`crate::relational`]): both mappers reduce a line modulo the set
+//! count `S`, so two lines share a set iff their difference is a nonzero
+//! multiple of `S`.
 //!
-//! * **WindowFit / PairWindow** — all lines within a window shorter than
-//!   the set count `S` are set-injective (both mappers reduce mod `S`,
-//!   so two lines in one set differ by ≥ `S`). Sound for any shape, and
-//!   how footprints far too large to enumerate are decided abstractly.
-//! * **OrbitBound** — Eq. 8: a progression with line stride `g` visits
-//!   an orbit of `S / gcd(S, g mod S)` sets; `count ≤ orbit` is exact in
-//!   both directions.
-//! * **ArcTiling** — a segment grid tiles the set ring iff consecutive
-//!   start residues (sorted, circular) are at least a segment length
-//!   apart — the corrected §4 sub-block condition.
-//! * **CosetDisjoint** — residues of a set with congruence step `g` lie
-//!   in the coset `first + ⟨gcd(g, S)⟩`; two references whose cosets are
-//!   disjoint (`first_a ≢ first_b mod gcd(g_a, g_b, S)`) cannot meet.
-//! * **BoundedOffset / CosetSeparated** — the relational domain
-//!   ([`crate::relational`]): congruence-class splitting turns
-//!   [`Shape::Lattice`] references into exact carry-free sub-lattices,
-//!   difference intervals bound each pair's achievable line
-//!   difference, and CRT over the difference lattice decides exactly
-//!   whether a nonzero multiple of `S` is achievable — with a concrete
-//!   witness when it is. These fire on every component the shape rules
-//!   leave open, *before* any enumeration.
-//! * **Enumerated** — exact fallback for anything still undecided (each
-//!   such component carries a machine-readable
-//!   [`FallbackReason`]), bounded by [`MAX_NEST_WORDS`] total work;
-//!   exceeding the bound is an error, not a silent approximation.
+//! * **BoundedOffset** — the component's achievable line differences lie
+//!   in an interval holding no nonzero multiple of `S`; tried first on
+//!   the two references' whole line intervals (the window test), then
+//!   per congruence class.
+//! * **CosetSeparated** — congruence-class splitting turns each
+//!   reference into exact carry-free sub-lattices, and coset separation,
+//!   CRT and the exact solvers decide whether a nonzero multiple of `S`
+//!   is achievable — with a concrete witness when it is. The paper's
+//!   Eq. 8 orbit bound and the §4 sub-block condition are special cases.
+//! * **Enumerated** — exact fallback for a component the domain hands
+//!   back (each carries a machine-readable [`FallbackReason`]), bounded
+//!   by [`MAX_NEST_WORDS`] total work; exceeding the bound is an error,
+//!   not a silent approximation.
 //!
-//! Because every inconclusive abstract rule falls through to exact
-//! enumeration (or a hard error), the final verdict is *exact*, not
-//! merely sound: `ConflictFree` ⇔ zero conflict misses in a double-sweep
+//! Because every step is exact, the final verdict is *exact*, not merely
+//! sound: `ConflictFree` ⇔ zero conflict misses in a double-sweep
 //! replay, within cache capacity. The differential tests in
 //! `tests/nests.rs` hold this against the simulator for hundreds of
-//! random nests — and the relational rules make the fallback a dormant
-//! safety net: the canonical suites and the seeded random battery all
-//! decide with `enumerated_lines == 0`.
+//! random nests, and the fallback stays a dormant safety net: the
+//! canonical suites and the seeded random battery all decide with
+//! `enumerated_lines == 0`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -60,23 +52,24 @@ use vcache_mersenne::numtheory::gcd;
 
 use crate::conflict::{Geometry, MAX_ANALYZED_WORDS};
 use crate::nest::{AffineRef, LoopNest};
-use crate::relational;
+use crate::relational::{self, RelOutcome};
 
 /// Total enumeration budget (in lines/words materialized) for one nest
-/// analysis; abstract rules are unaffected by this bound.
+/// analysis; symbolic decisions are unaffected by this bound.
 pub const MAX_NEST_WORDS: u64 = MAX_ANALYZED_WORDS;
 
 /// How many enumeration steps may pass between two polls of a
 /// [`NestBudget`] cancellation callback. A cancelled analysis (e.g. a
 /// request past its deadline in `vcache serve`) is abandoned within one
-/// quantum of work, never at the end of the full enumeration.
+/// quantum of enumeration, never at the end of the full walk.
 pub const BUDGET_CHECK_QUANTUM: u64 = 4096;
 
 /// Resource limits for one nest analysis: the enumeration word cap plus
-/// an optional cooperative-cancellation callback, polled at least every
-/// [`BUDGET_CHECK_QUANTUM`] enumeration steps. The abstract decision
-/// rules are effectively O(refs²) and are never cancelled mid-rule; only
-/// the enumeration fallbacks poll.
+/// an optional cooperative-cancellation callback, polled once per
+/// component before its symbolic decision and at least every
+/// [`BUDGET_CHECK_QUANTUM`] enumeration steps. A symbolic decision is
+/// never cancelled midway, so a fired budget is observed within one
+/// component decision or one enumeration quantum.
 pub struct NestBudget<'a> {
     /// Enumeration cap in materialized lines/words (defaults to
     /// [`MAX_NEST_WORDS`]).
@@ -91,12 +84,6 @@ pub struct NestBudget<'a> {
     /// begin/end calls always balance. `None` observes nothing and the
     /// analysis runs the identical code path.
     pub observer: Option<&'a (dyn Fn(&'static str, bool) + 'a)>,
-    /// Run the relational domain ([`crate::relational`]) on components
-    /// the shape rules leave open, before falling back to enumeration.
-    /// On by default; tests and benchmarks disable it to exercise the
-    /// enumeration/cancellation machinery and to measure the fallback
-    /// path it replaced.
-    pub relational: bool,
 }
 
 impl Default for NestBudget<'_> {
@@ -105,7 +92,6 @@ impl Default for NestBudget<'_> {
             max_words: MAX_NEST_WORDS,
             cancelled: None,
             observer: None,
-            relational: true,
         }
     }
 }
@@ -179,10 +165,6 @@ impl<'a> CancelPoll<'a> {
     }
 }
 
-/// Segment grids with more segments than this are not arc-checked
-/// analytically (far beyond any real blocking factor).
-const MAX_ARC_SEGMENTS: u64 = 1 << 20;
-
 /// Error from [`analyze_nest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NestError {
@@ -191,14 +173,14 @@ pub enum NestError {
         /// Index of the offending reference.
         ref_index: usize,
     },
-    /// The abstract rules were inconclusive and exact enumeration would
-    /// materialize more than [`MAX_NEST_WORDS`] lines.
+    /// The relational domain handed components back and exact
+    /// enumeration would materialize more than [`MAX_NEST_WORDS`] lines.
     TooLarge {
         /// Lines the enumeration would have needed.
         needed: u64,
     },
     /// The [`NestBudget`] cancellation callback fired (e.g. a request
-    /// deadline passed); the analysis was abandoned mid-enumeration.
+    /// deadline passed); the analysis was abandoned unfinished.
     Cancelled,
 }
 
@@ -458,28 +440,16 @@ fn line_set(r: &AffineRef, line_words: u64, ref_index: usize) -> Result<LineSet,
     })
 }
 
-/// Which decision rule settled a component.
+/// Which decision settled a component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Rule {
-    /// A reference with no (or one) line cannot conflict.
-    SingleLine,
-    /// All lines fit a window shorter than the set count.
-    WindowFit,
-    /// Eq. 8 orbit comparison for an exact progression.
-    OrbitBound,
-    /// Circular-gap check over segment-grid start residues.
-    ArcTiling,
-    /// The union of both references' lines fits a window shorter than
-    /// the set count.
-    PairWindow,
-    /// The references' residue cosets are disjoint.
-    CosetDisjoint,
-    /// Relational: the pair's achievable line differences lie in an
+    /// Relational: the component's achievable line differences lie in an
     /// interval containing no nonzero multiple of the set count, or an
     /// exhaustive walk of the bounded difference box settles it.
     BoundedOffset,
     /// Relational: congruence-class separation over the difference
-    /// lattice — disjoint residue cosets, or a CRT-constructed witness.
+    /// lattice — disjoint residue cosets, or a solver-constructed
+    /// witness.
     CosetSeparated,
     /// Exact enumeration fallback.
     Enumerated,
@@ -610,158 +580,6 @@ pub struct NestAnalysis {
     pub fallback_reasons: Vec<FallbackReason>,
 }
 
-/// Outcome of one decision rule.
-struct Decision {
-    free: bool,
-    rule: Rule,
-    witness: Option<(u64, u64)>,
-}
-
-impl Decision {
-    fn free(rule: Rule) -> Self {
-        Self {
-            free: true,
-            rule,
-            witness: None,
-        }
-    }
-
-    fn conflict(rule: Rule, a: u64, b: u64) -> Self {
-        Self {
-            free: false,
-            rule,
-            witness: Some((a, b)),
-        }
-    }
-}
-
-/// Orbit of line stride `step` on the `sets`-ring (Eq. 8 generalized).
-fn orbit_of(geometry: &Geometry, step: u64) -> u64 {
-    let sets = geometry.sets();
-    let r = geometry.set_of_line(step);
-    if r == 0 {
-        1
-    } else {
-        sets / gcd(sets, r)
-    }
-}
-
-/// Start residues of a segment grid, as `(residue, segment index)`.
-fn grid_residues(
-    geometry: &Geometry,
-    first: u64,
-    seg_step: u64,
-    seg_count: u64,
-) -> Vec<(u64, u64)> {
-    let sets = geometry.sets();
-    let step_r = geometry.set_of_line(seg_step);
-    let mut cur = geometry.set_of_line(first);
-    let mut out = Vec::with_capacity(seg_count as usize);
-    for j in 0..seg_count {
-        out.push((cur, j));
-        cur += step_r;
-        if cur >= sets {
-            cur -= sets;
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Tries to settle one reference against itself abstractly.
-fn decide_within(ls: &LineSet, geometry: &Geometry) -> Option<Decision> {
-    let sets = geometry.sets();
-    match ls.shape {
-        Shape::Empty | Shape::Point => Some(Decision::free(Rule::SingleLine)),
-        _ if ls.last - ls.first < sets => Some(Decision::free(Rule::WindowFit)),
-        Shape::Progression { step, count } => {
-            let orbit = orbit_of(geometry, step);
-            if count <= orbit {
-                Some(Decision::free(Rule::OrbitBound))
-            } else {
-                // Lines k = 0 and k = orbit collide: orbit · (step mod S)
-                // ≡ 0 (mod S).
-                Some(Decision::conflict(
-                    Rule::OrbitBound,
-                    ls.first,
-                    ls.first + orbit * step,
-                ))
-            }
-        }
-        Shape::SegmentGrid {
-            seg_len,
-            seg_step,
-            seg_count,
-        } => {
-            if seg_len > sets {
-                // One run of consecutive lines already wraps the ring.
-                return Some(Decision::conflict(
-                    Rule::ArcTiling,
-                    ls.first,
-                    ls.first + sets,
-                ));
-            }
-            if seg_count > MAX_ARC_SEGMENTS {
-                return None;
-            }
-            let starts = grid_residues(geometry, ls.first, seg_step, seg_count);
-            // Circular gaps between consecutive start residues must all
-            // be ≥ seg_len; segments are disjoint in line space
-            // (seg_step > seg_len), so an overlap in residue space is a
-            // real collision of distinct lines.
-            for w in starts.windows(2) {
-                let (r1, j1) = w[0];
-                let (r2, j2) = w[1];
-                if r2 - r1 < seg_len {
-                    return Some(Decision::conflict(
-                        Rule::ArcTiling,
-                        ls.first + j1 * seg_step + (r2 - r1),
-                        ls.first + j2 * seg_step,
-                    ));
-                }
-            }
-            if seg_count > 1 {
-                let (r_lo, j_lo) = starts[0];
-                let (r_hi, j_hi) = starts[starts.len() - 1];
-                let wrap = sets - r_hi + r_lo;
-                if wrap < seg_len {
-                    return Some(Decision::conflict(
-                        Rule::ArcTiling,
-                        ls.first + j_hi * seg_step + wrap,
-                        ls.first + j_lo * seg_step,
-                    ));
-                }
-            }
-            Some(Decision::free(Rule::ArcTiling))
-        }
-        Shape::Lattice => None,
-    }
-}
-
-/// Tries to settle a reference pair abstractly (freedom only; pair
-/// conflicts are always exhibited by enumeration).
-fn decide_pair(a: &LineSet, b: &LineSet, geometry: &Geometry) -> Option<Decision> {
-    if matches!(a.shape, Shape::Empty) || matches!(b.shape, Shape::Empty) {
-        return Some(Decision::free(Rule::SingleLine));
-    }
-    let sets = geometry.sets();
-    let lo = a.first.min(b.first);
-    let hi = a.last.max(b.last);
-    if hi - lo < sets {
-        return Some(Decision::free(Rule::PairWindow));
-    }
-    // Residues of a line set with congruence step g lie in the coset
-    // first + ⟨gcd(g, S)⟩ of the cyclic group Z_S; step 0 (single line)
-    // gives the trivial subgroup. Disjoint cosets cannot collide.
-    let ga = gcd(a.step, sets);
-    let gb = gcd(b.step, sets);
-    let g = gcd(ga, gb);
-    if g > 1 && geometry.set_of_line(a.first) % g != geometry.set_of_line(b.first) % g {
-        return Some(Decision::free(Rule::CosetDisjoint));
-    }
-    None
-}
-
 /// Materializes the distinct lines of a reference, charging `budget`
 /// (starting from `max_words`) and polling `poll` for cancellation.
 fn enumerate_lines(
@@ -848,24 +666,25 @@ fn enumerate_lines(
     }
 }
 
-/// Scans one reference's lines for a within-reference collision.
+/// Scans one reference's lines for a within-reference collision,
+/// returning the colliding pair.
 fn scan_within(
     lines: &[u64],
     geometry: &Geometry,
     poll: &mut CancelPoll<'_>,
-) -> Result<Decision, NestError> {
+) -> Result<Option<(u64, u64)>, NestError> {
     let mut seen: BTreeMap<u64, u64> = BTreeMap::new();
     for &line in lines {
         poll.tick(1)?;
         if let Some(&other) = seen.get(&geometry.set_of_line(line)) {
             if other != line {
-                return Ok(Decision::conflict(Rule::Enumerated, other, line));
+                return Ok(Some((other, line)));
             }
         } else {
             seen.insert(geometry.set_of_line(line), line);
         }
     }
-    Ok(Decision::free(Rule::Enumerated))
+    Ok(None)
 }
 
 /// Scans a reference pair for a cross-reference collision of *distinct*
@@ -877,16 +696,16 @@ fn scan_pair(
     lines_b: &[u64],
     geometry: &Geometry,
     poll: &mut CancelPoll<'_>,
-) -> Result<Decision, NestError> {
+) -> Result<Option<(u64, u64)>, NestError> {
     for &line in lines_b {
         poll.tick(1)?;
         if let Some(&other) = map_a.get(&geometry.set_of_line(line)) {
             if other != line {
-                return Ok(Decision::conflict(Rule::Enumerated, other, line));
+                return Ok(Some((other, line)));
             }
         }
     }
-    Ok(Decision::free(Rule::Enumerated))
+    Ok(None)
 }
 
 /// Statically analyzes `nest` against `geometry` under the default
@@ -895,23 +714,24 @@ fn scan_pair(
 /// # Errors
 ///
 /// [`NestError::AddressOverflow`] when a reference leaves the `u64`
-/// address space; [`NestError::TooLarge`] when the abstract rules are
-/// inconclusive and exact fallback enumeration would exceed
+/// address space; [`NestError::TooLarge`] when the relational domain
+/// hands components back and exact fallback enumeration would exceed
 /// [`MAX_NEST_WORDS`] lines.
 pub fn analyze_nest(nest: &LoopNest, geometry: &Geometry) -> Result<NestAnalysis, NestError> {
     analyze_nest_with_budget(nest, geometry, &NestBudget::default())
 }
 
 /// Statically analyzes `nest` against `geometry` under an explicit
-/// [`NestBudget`]. The cancellation callback (if any) is polled at
-/// least every [`BUDGET_CHECK_QUANTUM`] enumeration steps, so a caller
-/// enforcing a deadline observes [`NestError::Cancelled`] within one
-/// quantum of work past the deadline.
+/// [`NestBudget`]. The cancellation callback (if any) is polled before
+/// each component's symbolic decision and at least every
+/// [`BUDGET_CHECK_QUANTUM`] enumeration steps, so a caller enforcing a
+/// deadline observes [`NestError::Cancelled`] within one component
+/// decision or one enumeration quantum past the deadline.
 ///
 /// # Errors
 ///
 /// As [`analyze_nest`], plus [`NestError::Cancelled`] when the budget's
-/// callback fires mid-enumeration.
+/// callback fires.
 pub fn analyze_nest_with_budget(
     nest: &LoopNest,
     geometry: &Geometry,
@@ -929,18 +749,13 @@ pub fn analyze_nest_with_budget(
 
     let mut proofs = Vec::new();
     let mut conflicts: Vec<Witness> = Vec::new();
-    let mut undecided: Vec<Component> = Vec::new();
-    let record = |proofs: &mut Vec<ComponentProof>,
-                  conflicts: &mut Vec<Witness>,
-                  component: Component,
-                  d: &Decision,
-                  geometry: &Geometry| {
+    let mut record = |component: Component, rule: Rule, witness: Option<(u64, u64)>| {
         proofs.push(ComponentProof {
             component,
-            rule: d.rule,
-            free: d.free,
+            rule,
+            free: witness.is_none(),
         });
-        if let Some((line_a, line_b)) = d.witness {
+        if let Some((line_a, line_b)) = witness {
             let (ref_a, ref_b) = match component {
                 Component::Within { r } => (r, r),
                 Component::Pair { a, b } => (a, b),
@@ -955,69 +770,48 @@ pub fn analyze_nest_with_budget(
         }
     };
 
+    // Every component goes through the relational domain; what it hands
+    // back, with a reason, is left for enumeration.
+    let refs = &nest.refs;
     let mut fallback_reasons: Vec<FallbackReason> = Vec::new();
     observe_phase(nest_budget, "rules", || {
-        for (i, ls) in line_sets.iter().enumerate() {
-            let component = Component::Within { r: i };
-            match decide_within(ls, geometry) {
-                Some(d) => record(&mut proofs, &mut conflicts, component, &d, geometry),
-                None => undecided.push(component),
+        let pairs = (0..refs.len())
+            .flat_map(|a| (a + 1..refs.len()).map(move |b| Component::Pair { a, b }));
+        for component in (0..refs.len())
+            .map(|r| Component::Within { r })
+            .chain(pairs)
+        {
+            // One poll per component: a symbolic decision is never cut
+            // short, so this bounds how long a fired budget goes unseen.
+            if nest_budget.cancelled.is_some_and(|cancelled| cancelled()) {
+                return Err(NestError::Cancelled);
+            }
+            let outcome = match component {
+                Component::Within { r } => relational::decide_within(&refs[r], geometry),
+                Component::Pair { a, b } => relational::decide_pair(&refs[a], &refs[b], geometry),
+            };
+            match outcome {
+                RelOutcome::Free(rule) => record(component, rule, None),
+                RelOutcome::Conflict(rule, a, b) => record(component, rule, Some((a, b))),
+                RelOutcome::NeedsEnumeration(reason) => fallback_reasons.push(FallbackReason {
+                    component,
+                    reason: reason.to_owned(),
+                }),
             }
         }
-        for i in 0..line_sets.len() {
-            for j in (i + 1)..line_sets.len() {
-                let component = Component::Pair { a: i, b: j };
-                match decide_pair(&line_sets[i], &line_sets[j], geometry) {
-                    Some(d) => record(&mut proofs, &mut conflicts, component, &d, geometry),
-                    None => undecided.push(component),
-                }
-            }
-        }
-        // Relational pass: everything the shape rules left open gets the
-        // interval + congruence-class treatment before any enumeration.
-        if nest_budget.relational {
-            undecided.retain(|&component| {
-                let outcome = match component {
-                    Component::Within { r } => relational::decide_within(&nest.refs[r], geometry),
-                    Component::Pair { a, b } => {
-                        relational::decide_pair(&nest.refs[a], &nest.refs[b], geometry)
-                    }
-                };
-                if let Some(reason) = outcome.enumeration_reason() {
-                    fallback_reasons.push(FallbackReason {
-                        component,
-                        reason: reason.to_owned(),
-                    });
-                    return true;
-                }
-                let d = match outcome {
-                    relational::RelOutcome::Free(rule) => Decision::free(rule),
-                    relational::RelOutcome::Conflict(rule, a, b) => Decision::conflict(rule, a, b),
-                    _ => return true, // unreachable: reason handled above
-                };
-                record(&mut proofs, &mut conflicts, component, &d, geometry);
-                false
-            });
-        } else {
-            for component in &undecided {
-                fallback_reasons.push(FallbackReason {
-                    component: *component,
-                    reason: "relational-domain-disabled".to_owned(),
-                });
-            }
-        }
-    });
+        Ok(())
+    })?;
 
-    // Exact fallback for whatever the abstract rules left open.
+    // Exact fallback for whatever the relational domain handed back.
     let enumerated_lines = observe_phase(nest_budget, "enumerate", || {
         let max_words = nest_budget.max_words;
         let mut budget = max_words;
         let mut enumerated: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         let mut set_maps: BTreeMap<usize, BTreeMap<u64, u64>> = BTreeMap::new();
         let needed: Vec<usize> = {
-            let mut v: Vec<usize> = undecided
+            let mut v: Vec<usize> = fallback_reasons
                 .iter()
-                .flat_map(|c| match *c {
+                .flat_map(|f| match f.component {
                     Component::Within { r } => vec![r],
                     Component::Pair { a, b } => vec![a, b],
                 })
@@ -1028,7 +822,7 @@ pub fn analyze_nest_with_budget(
         };
         for &i in &needed {
             let lines = enumerate_lines(
-                &nest.refs[i],
+                &refs[i],
                 &line_sets[i],
                 line_words,
                 &mut budget,
@@ -1043,14 +837,14 @@ pub fn analyze_nest_with_budget(
             set_maps.insert(i, map);
             enumerated.insert(i, lines);
         }
-        for component in undecided {
-            let d = match component {
+        for &FallbackReason { component, .. } in &fallback_reasons {
+            let witness = match component {
                 Component::Within { r } => scan_within(&enumerated[&r], geometry, &mut poll)?,
                 Component::Pair { a, b } => {
                     scan_pair(&set_maps[&a], &enumerated[&b], geometry, &mut poll)?
                 }
             };
-            record(&mut proofs, &mut conflicts, component, &d, geometry);
+            record(component, Rule::Enumerated, witness);
         }
         Ok::<u64, NestError>(max_words - budget)
     })?;
@@ -1118,6 +912,47 @@ mod tests {
         Term { coeff, trip }
     }
 
+    /// Four odd strides on 8-word lines split into 8⁴ congruence
+    /// classes, past the relational domain's class cap: a nest that
+    /// really falls back to enumeration. `n = 24` walks 331,776 points;
+    /// `n = 80` is past [`MAX_NEST_WORDS`].
+    fn odd_strides(n: u64) -> LoopNest {
+        nest1("odd-strides", 0, vec![t(3, n), t(5, n), t(7, n), t(9, n)])
+    }
+
+    /// True when some iteration point of `r` falls on `line` (a walk of
+    /// the whole iteration space, for small references).
+    fn touches(r: &AffineRef, line_words: u64, line: u64) -> bool {
+        let mut idx = vec![0u64; r.terms.len()];
+        loop {
+            let word = r
+                .terms
+                .iter()
+                .zip(&idx)
+                .fold(i128::from(r.base), |w, (t, &i)| {
+                    w + i128::from(t.coeff) * i128::from(i)
+                });
+            if u64::try_from(word).is_ok_and(|w| w / line_words == line) {
+                return true;
+            }
+            let Some(d) = (0..idx.len()).rev().find(|&d| idx[d] + 1 < r.terms[d].trip) else {
+                return false;
+            };
+            idx[d] += 1;
+            idx[d + 1..].fill(0);
+        }
+    }
+
+    /// Asserts a witness is a real collision: two distinct lines, each
+    /// touched by its reference, in the one set it names.
+    fn assert_witness(n: &LoopNest, g: &Geometry, w: &Witness) {
+        assert_ne!(w.line_a, w.line_b, "{w:?}");
+        assert_eq!(g.set_of_line(w.line_a), w.set, "{w:?}");
+        assert_eq!(g.set_of_line(w.line_b), w.set, "{w:?}");
+        assert!(touches(&n.refs[w.ref_a], g.line_words(), w.line_a), "{w:?}");
+        assert!(touches(&n.refs[w.ref_b], g.line_words(), w.line_b), "{w:?}");
+    }
+
     #[test]
     fn shapes_abstract_precisely() {
         let ls = |terms: Vec<Term>, lw: u64| line_set(&AffineRef::new(0, terms, 0), lw, 0).unwrap();
@@ -1158,13 +993,14 @@ mod tests {
 
     #[test]
     fn orbit_rule_matches_layer2() {
-        // Line stride 512 over 8192 sets: orbit 16.
+        // Line stride 512 over 8192 sets: an orbit of 16 sets (Eq. 8)
+        // for 8191 lines, so the stride self-interferes.
         let n = nest1("orbit", 0, vec![t(4096, 8191)]);
-        let a = analyze_nest(&n, &pow2(8192, 8)).unwrap();
+        let g = pow2(8192, 8);
+        let a = analyze_nest(&n, &g).unwrap();
         assert_eq!(a.verdict, NestVerdict::SelfInterfering);
-        assert_eq!(a.proofs[0].rule, Rule::OrbitBound);
-        let w = a.witness.unwrap();
-        assert_eq!((w.line_a, w.line_b), (0, 16 * 512));
+        assert_eq!(a.enumerated_lines, 0);
+        assert_witness(&n, &g, &a.witness.unwrap());
         // Same nest under the prime mapper: free, still abstract.
         let a = analyze_nest(&n, &prime(13, 8)).unwrap();
         assert_eq!(a.verdict, NestVerdict::ConflictFree);
@@ -1173,8 +1009,8 @@ mod tests {
 
     #[test]
     fn huge_nests_are_decided_abstractly() {
-        // 2^32 words of traffic over a 512-line window: WindowFit needs
-        // no enumeration.
+        // 2^32 words of traffic over a 512-line window: the
+        // reference-level interval decides it with no enumeration.
         let n = nest1("huge", 0, vec![t(0, 1 << 20), t(1, 4096)]);
         for g in [pow2(8192, 8), prime(13, 8)] {
             let a = analyze_nest(&n, &g).unwrap();
@@ -1194,20 +1030,7 @@ mod tests {
         assert_eq!(a.enumerated_lines, 0);
         assert!(a.fallback_reasons.is_empty(), "{:?}", a.fallback_reasons);
         assert_eq!(a.verdict, NestVerdict::SelfInterfering);
-        let w = a.witness.unwrap();
-        assert_ne!(w.line_a, w.line_b);
-        // The enumeration path still exists and agrees, when forced.
-        let budget = NestBudget {
-            relational: false,
-            ..NestBudget::default()
-        };
-        let forced = analyze_nest_with_budget(&n, &pow2(32, 8), &budget).unwrap();
-        assert!(forced.enumerated_lines > 0);
-        assert_eq!(forced.verdict, a.verdict);
-        assert_eq!(
-            forced.fallback_reasons[0].reason,
-            "relational-domain-disabled"
-        );
+        assert_witness(&n, &pow2(32, 8), &a.witness.unwrap());
     }
 
     #[test]
@@ -1218,43 +1041,10 @@ mod tests {
         let a = analyze_nest(&big, &pow2(32, 8)).unwrap();
         assert_eq!(a.enumerated_lines, 0);
         assert_eq!(a.verdict, NestVerdict::SelfInterfering);
-        // …while the enumeration path alone still rejects it as too
-        // large, so the budget machinery stays honest.
-        let budget = NestBudget {
-            relational: false,
-            ..NestBudget::default()
-        };
-        assert!(matches!(
-            analyze_nest_with_budget(&big, &pow2(32, 8), &budget),
-            Err(NestError::TooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn relational_and_enumerated_verdicts_agree() {
-        // Cross-validation: for unaligned shapes small enough to
-        // enumerate, the symbolic decision must match the exact walk
-        // under both mappers.
-        let shapes = [
-            vec![t(12, 50)],
-            vec![t(20, 40), t(6, 5)],
-            vec![t(28, 30)],
-            vec![t(12, 50), t(7, 3)],
-        ];
-        let enumerate_only = NestBudget {
-            relational: false,
-            ..NestBudget::default()
-        };
-        for terms in shapes {
-            let n = nest1("x", 5, terms);
-            for g in [pow2(32, 8), prime(5, 8)] {
-                let symbolic = analyze_nest(&n, &g).unwrap();
-                let walked = analyze_nest_with_budget(&n, &g, &enumerate_only).unwrap();
-                assert_eq!(symbolic.verdict, walked.verdict, "{} {g}", n.name);
-                assert_eq!(symbolic.enumerated_lines, 0, "{} {g}", n.name);
-                assert!(walked.enumerated_lines > 0, "{} {g}", n.name);
-            }
-        }
+        // …while a nest the domain hands back and whose walk would pass
+        // the cap is rejected as too large, so the budget stays honest.
+        let a = analyze_nest_with_budget(&odd_strides(80), &prime(5, 8), &NestBudget::default());
+        assert!(matches!(a, Err(NestError::TooLarge { .. })), "{a:?}");
     }
 
     #[test]
@@ -1290,20 +1080,48 @@ mod tests {
                 "p={p} b1={b1} b2={b2}"
             );
         }
+        // Grids too wide for the residue DP: b1·b2 lines outnumber the
+        // sets, so they self-interfere by pigeonhole (the checker above
+        // would reserve b1·b2 slots to say so), and the domain must
+        // still decide them without enumerating.
+        for (p, b1, b2, g) in [
+            (10_000u64, 5000u64, 5000u64, prime(13, 1)),
+            (10_000, 5000, 5000, prime(17, 1)),
+            (9000, 4096, 4096, prime(13, 1)),
+        ] {
+            let n = nest1("wide", 0, vec![t(p as i64, b2), t(1, b1)]);
+            let a = analyze_nest(&n, &g).unwrap();
+            assert_eq!(a.verdict, NestVerdict::SelfInterfering, "p={p} {g}");
+            assert_eq!(a.enumerated_lines, 0, "p={p} {g}");
+            let w = a.witness.unwrap();
+            assert_ne!(w.line_a, w.line_b);
+            assert_eq!(g.set_of_line(w.line_a), g.set_of_line(w.line_b));
+            for line in [w.line_a, w.line_b] {
+                assert!(line / p < b2 && line % p < b1, "{line} off the grid");
+            }
+        }
     }
 
     #[test]
     fn coset_rule_separates_far_apart_parity_classes() {
-        let a = AffineRef::new(0, vec![t(2, 2048)], 0);
-        let b = AffineRef::new(1_000_001, vec![t(2, 2048)], 1);
-        let n = LoopNest::new("coset", vec![a, b]);
-        let an = analyze_nest(&n, &pow2(8192, 1)).unwrap();
-        assert_eq!(an.verdict, NestVerdict::ConflictFree);
-        assert!(an
-            .proofs
-            .iter()
-            .any(|p| p.rule == Rule::CosetDisjoint && p.free));
-        assert_eq!(an.enumerated_lines, 0);
+        // Stride-2 streams a megaword apart: opposite parities never
+        // meet under the pow2 mapper, while one word closer they share
+        // a parity class and collide.
+        let g = pow2(8192, 1);
+        for (base_b, verdict) in [
+            (1_000_001, NestVerdict::ConflictFree),
+            (1_000_000, NestVerdict::CrossInterfering),
+        ] {
+            let a = AffineRef::new(0, vec![t(2, 2048)], 0);
+            let b = AffineRef::new(base_b, vec![t(2, 2048)], 1);
+            let n = LoopNest::new("coset", vec![a, b]);
+            let an = analyze_nest(&n, &g).unwrap();
+            assert_eq!(an.verdict, verdict, "base {base_b}");
+            assert_eq!(an.enumerated_lines, 0);
+            if let Some(w) = an.witness {
+                assert_witness(&n, &g, &w);
+            }
+        }
     }
 
     #[test]
@@ -1329,29 +1147,54 @@ mod tests {
     #[test]
     fn budget_cancellation_is_observed_within_a_quantum() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        // A Lattice-shaped nest forcing a long enumeration fallback.
-        let n = nest1("slow", 0, vec![t(3, 1 << 18), t(7, 2)]);
+        let n = odd_strides(24);
         let calls = AtomicU64::new(0);
-        // Cancel on the second poll: the analysis must stop long before
-        // finishing the ~2^19-step walk.
-        let cancel = |count: &AtomicU64| count.fetch_add(1, Ordering::Relaxed) >= 1;
-        let hook = || cancel(&calls);
-        // Relational off: this test exercises the enumeration fallback's
-        // cancellation machinery, which the domain would bypass.
-        let budget = NestBudget {
-            relational: false,
-            ..NestBudget::with_cancel(&hook)
-        };
+        // The first poll guards the one component's symbolic decision;
+        // cancel on the second, inside the enumeration fallback: the
+        // analysis must stop long before finishing the 331,776-step walk.
+        let hook = || calls.fetch_add(1, Ordering::Relaxed) >= 1;
+        let budget = NestBudget::with_cancel(&hook);
         assert_eq!(
-            analyze_nest_with_budget(&n, &pow2(32, 8), &budget).err(),
+            analyze_nest_with_budget(&n, &prime(5, 8), &budget).err(),
             Some(NestError::Cancelled)
         );
         let polls = calls.load(Ordering::Relaxed);
         assert!(polls >= 2, "callback polled {polls} times");
         // Each poll covers at most one quantum, so total work before the
         // cancel was bounded by polls × quantum — far below the walk.
-        assert!(polls * BUDGET_CHECK_QUANTUM < (1 << 19));
+        assert!(polls * BUDGET_CHECK_QUANTUM < 331_776);
         assert!(NestError::Cancelled.to_string().contains("cancelled"));
+    }
+
+    #[test]
+    fn fired_budget_cancels_a_symbolic_analysis() {
+        use std::cell::{Cell, RefCell};
+        // A nest the relational domain decides without enumerating: the
+        // per-component poll alone must see the fired budget, and the
+        // interrupted `rules` phase must still close.
+        let polls = Cell::new(0u32);
+        let hook = || {
+            polls.set(polls.get() + 1);
+            true
+        };
+        let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
+        let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
+        let budget = NestBudget::with_cancel(&hook).with_observer(&obs);
+        let n = nest1("pow2-stride", 0, vec![t(4096, 8191)]);
+        assert_eq!(
+            analyze_nest_with_budget(&n, &pow2(8192, 8), &budget).err(),
+            Some(NestError::Cancelled)
+        );
+        assert_eq!(polls.get(), 1);
+        assert_eq!(
+            events.into_inner(),
+            vec![
+                ("lineset", true),
+                ("lineset", false),
+                ("rules", true),
+                ("rules", false),
+            ]
+        );
     }
 
     #[test]
@@ -1367,14 +1210,12 @@ mod tests {
 
     #[test]
     fn shrunken_word_cap_rejects_as_too_large() {
-        let n = nest1("lat", 0, vec![t(12, 50)]);
         let budget = NestBudget {
             max_words: 4,
-            relational: false,
             ..NestBudget::default()
         };
         assert!(matches!(
-            analyze_nest_with_budget(&n, &pow2(32, 8), &budget),
+            analyze_nest_with_budget(&odd_strides(24), &prime(5, 8), &budget),
             Err(NestError::TooLarge { .. })
         ));
     }
@@ -1384,11 +1225,11 @@ mod tests {
         use std::cell::RefCell;
         let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
         let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
-        // Lattice shape: forces the enumeration fallback, so all three
-        // phases do real work.
-        let n = nest1("lat", 0, vec![t(12, 50)]);
+        // A nest the domain hands back, so all three phases do real
+        // work.
         let budget = NestBudget::default().with_observer(&obs);
-        analyze_nest_with_budget(&n, &pow2(32, 8), &budget).unwrap();
+        let a = analyze_nest_with_budget(&odd_strides(24), &prime(5, 8), &budget).unwrap();
+        assert!(a.enumerated_lines > 0);
         assert_eq!(
             events.into_inner(),
             vec![
@@ -1404,31 +1245,36 @@ mod tests {
 
     #[test]
     fn phase_observer_balances_even_when_cancelled() {
-        use std::cell::RefCell;
-        let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
-        let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
-        let n = nest1("slow", 0, vec![t(3, 1 << 18), t(7, 2)]);
-        let hook = || true; // cancel at the first poll
-        let budget = NestBudget {
-            relational: false,
-            ..NestBudget::with_cancel(&hook).with_observer(&obs)
-        };
-        assert_eq!(
-            analyze_nest_with_budget(&n, &pow2(32, 8), &budget).err(),
-            Some(NestError::Cancelled)
-        );
-        let events = events.into_inner();
-        // Every begun phase ended, including the one that was cancelled.
-        let mut open: Vec<&'static str> = Vec::new();
-        for (phase, begin) in &events {
-            if *begin {
-                open.push(phase);
-            } else {
-                assert_eq!(open.pop(), Some(*phase), "unbalanced: {events:?}");
+        use std::cell::{Cell, RefCell};
+        // Cancel at the first poll (the component's symbolic decision,
+        // inside `rules`) and at the second (inside `enumerate`).
+        for (fire_at, cut) in [(1, "rules"), (2, "enumerate")] {
+            let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
+            let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
+            let polls = Cell::new(0);
+            let hook = || {
+                polls.set(polls.get() + 1);
+                polls.get() >= fire_at
+            };
+            let budget = NestBudget::with_cancel(&hook).with_observer(&obs);
+            assert_eq!(
+                analyze_nest_with_budget(&odd_strides(24), &prime(5, 8), &budget).err(),
+                Some(NestError::Cancelled)
+            );
+            let events = events.into_inner();
+            // Every begun phase ended, including the one that was
+            // cancelled, which is the last to close.
+            let mut open: Vec<&'static str> = Vec::new();
+            for (phase, begin) in &events {
+                if *begin {
+                    open.push(phase);
+                } else {
+                    assert_eq!(open.pop(), Some(*phase), "unbalanced: {events:?}");
+                }
             }
+            assert!(open.is_empty(), "phases left open: {open:?}");
+            assert_eq!(events.last(), Some(&(cut, false)), "{events:?}");
         }
-        assert!(open.is_empty(), "phases left open: {open:?}");
-        assert!(events.contains(&("enumerate", true)));
     }
 
     #[test]

@@ -18,12 +18,14 @@
 //! without simulating a single access. The committed [`suite`] pins
 //! canonical verdicts; drift is a `VC100` finding.
 //!
-//! **Layer 3** ([`nest`], [`absint`], [`prescribe`]) lifts the analysis
-//! from flat traces to *affine loop nests*: an abstract interpreter over
-//! a congruence × interval product domain settles nests whose footprints
-//! are far too large to enumerate, and a prescriber searches minimal
-//! repairs (leading-dimension padding, trip shrinking, a Mersenne
-//! geometry change), emitting machine-checkable certificates. The
+//! **Layer 3** ([`nest`], [`absint`], [`relational`], [`prescribe`])
+//! lifts the analysis from flat traces to *affine loop nests*: an
+//! abstract interpreter decides every reference and reference pair with
+//! one relational procedure (difference intervals, congruence-class
+//! splitting, exact CRT and residue solvers), settling nests whose
+//! footprints are far too large to enumerate, and a prescriber searches
+//! minimal repairs (leading-dimension padding, trip shrinking, a
+//! Mersenne geometry change), emitting machine-checkable certificates. The
 //! committed [`nestsuite`] pins canonical nest verdicts (`VC101` on
 //! drift) and demands a verifying certificate per interfering row
 //! (`VC102`).

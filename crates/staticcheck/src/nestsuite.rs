@@ -4,8 +4,8 @@
 //!
 //! Where the Layer-2 suite (`suite.rs`) pins verdicts for flat word
 //! traces, this one pins them for *affine loop nests* — including nests
-//! whose footprints are far too large to enumerate, which only the
-//! abstract rules can settle. A verdict that drifts from the table is a
+//! whose footprints are far too large to enumerate, which only
+//! symbolic decisions can settle. A verdict that drifts from the table is a
 //! `VC101` finding. With prescriptions enabled, every interfering row
 //! must additionally admit a repair whose [`Certificate`] re-verifies;
 //! a missing or failing certificate is a `VC102` finding. The planner's
@@ -160,9 +160,10 @@ pub fn cases() -> Vec<NestCase> {
             expect_pow2: Expect::CrossInt,
             expect_prime: Expect::Free,
         },
-        // 2^32 words of traffic over a 512-line window: only the
-        // abstract WindowFit rule can touch this one (enumeration would
-        // need 2^32 words), and it must stay purely abstract.
+        // 2^32 words of traffic over a 512-line window: the
+        // reference-level line interval decides it before any class
+        // split (enumeration would need 2^32 words), and it must stay
+        // purely abstract.
         NestCase {
             nest: LoopNest::new(
                 "huge-reuse",
@@ -173,8 +174,8 @@ pub fn cases() -> Vec<NestCase> {
             expect_prime: Expect::Free,
         },
         // Stride-2 streams in opposite parity classes, a megaword
-        // apart: the coset rule separates them under pow2; under the
-        // odd prime modulus the classes mix and enumeration decides.
+        // apart: coset separation frees them under pow2; under the odd
+        // prime modulus the classes mix and the CRT decides.
         NestCase {
             nest: LoopNest::new(
                 "coset-disjoint",

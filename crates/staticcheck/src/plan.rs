@@ -746,26 +746,52 @@ mod tests {
 
     #[test]
     fn cancellation_mid_frontier_aborts_the_whole_plan() {
-        // An enumeration-heavy nest (the stride nest is decided
-        // symbolically, so its analyses never poll). Let the base triage
-        // through — one poll per enumerated analysis at
-        // BUDGET_CHECK_QUANTUM granularity — then fire partway into the
-        // frontier: the plan must surface Cancelled, never a truncated
-        // ranking presented as complete.
-        let nest = LoopNest::new("lat", vec![AffineRef::new(0, vec![term(12, 5000)], 0)]);
-        let geometry = Geometry::pow2(32, 8).unwrap();
-        let calls = AtomicUsize::new(0);
-        let hook = move || calls.fetch_add(1, Ordering::Relaxed) >= 6;
-        let budget = NestBudget {
-            relational: false,
-            ..NestBudget::with_cancel(&hook)
+        // A nest whose analyses really enumerate (four odd strides
+        // overflow the relational class split), so each polls per
+        // component and per enumeration quantum. Let the base triage —
+        // two analyses — through, then fire partway into the frontier:
+        // the plan must surface Cancelled, never a truncated ranking
+        // presented as complete.
+        let terms = [3, 5, 7, 9].map(|coeff| term(coeff, 24));
+        let nest = LoopNest::new("odd-strides", vec![AffineRef::new(0, terms.to_vec(), 0)]);
+        let geometry = Geometry::prime(5, 8).unwrap();
+        let polls = AtomicUsize::new(0);
+        let count = || {
+            polls.fetch_add(1, Ordering::Relaxed);
+            false
         };
+        let analysis =
+            analyze_nest_with_budget(&nest, &geometry, &NestBudget::with_cancel(&count)).unwrap();
+        assert!(analysis.enumerated_lines > 0);
+        let triage = 2 * polls.load(Ordering::Relaxed);
+        let calls = AtomicUsize::new(0);
+        let hook = || calls.fetch_add(1, Ordering::Relaxed) >= triage + 2;
         let err = plan_with_budget(
             &nest,
             &geometry,
             DEFAULT_MAX_PAD,
             &CostWeights::default(),
-            &budget,
+            &NestBudget::with_cancel(&hook),
+        )
+        .err();
+        assert_eq!(err, Some(NestError::Cancelled));
+        assert!(
+            calls.load(Ordering::Relaxed) > triage,
+            "fired in the triage"
+        );
+    }
+
+    #[test]
+    fn fired_budget_cancels_a_symbolic_plan() {
+        // The stride nest decides without enumerating, so only the
+        // per-component poll can see a budget that has already fired.
+        let hook = || true;
+        let err = plan_with_budget(
+            &stride_nest(),
+            &stride_geometry(),
+            DEFAULT_MAX_PAD,
+            &CostWeights::default(),
+            &NestBudget::with_cancel(&hook),
         )
         .err();
         assert_eq!(err, Some(NestError::Cancelled));

@@ -494,29 +494,21 @@ mod tests {
 
     #[test]
     fn cancelled_budget_aborts_the_search() {
-        // An interfering nest whose repair planning runs many candidate
-        // analyses; an immediately-fired callback must surface as
+        // An interfering nest with a repair whose analyses really
+        // enumerate: four odd strides overflow the relational class
+        // split. A callback that lets the first component's decision
+        // through and fires inside the enumeration must surface as
         // Cancelled, not as a bogus "no repair found".
-        let n = LoopNest::new(
-            "lat",
-            vec![AffineRef::new(
-                0,
-                vec![Term {
-                    coeff: 12,
-                    trip: 5000,
-                }],
-                0,
-            )],
-        );
-        let g = Geometry::pow2(32, 8).unwrap();
+        let terms = [3, 5, 7, 9].map(|coeff| Term { coeff, trip: 24 });
+        let n = LoopNest::new("odd-strides", vec![AffineRef::new(0, terms.to_vec(), 0)]);
+        let g = Geometry::prime(5, 8).unwrap();
         assert!(prescribe(&n, &g, DEFAULT_MAX_PAD).is_some());
-        let hook = || true;
-        // Relational off so candidate analyses enumerate and hit the
-        // cancellation polls; the symbolic path never needs them.
-        let budget = NestBudget {
-            relational: false,
-            ..NestBudget::with_cancel(&hook)
+        let polls = std::cell::Cell::new(0);
+        let hook = || {
+            polls.set(polls.get() + 1);
+            polls.get() >= 2
         };
+        let budget = NestBudget::with_cancel(&hook);
         assert_eq!(
             prescribe_with_budget(&n, &g, DEFAULT_MAX_PAD, &budget).err(),
             Some(NestError::Cancelled)

@@ -1,14 +1,20 @@
-//! Relational disjointness domain: difference intervals and congruence
-//! reasoning layered over congruence-class splitting, so
-//! [`Shape::Lattice`]-shaped references are decided *symbolically*
-//! instead of by materializing lines (DESIGN.md §6d).
+//! Relational disjointness domain: the one decision procedure for every
+//! Layer-3 component (a reference against itself, or a reference pair).
+//! Difference intervals and congruence reasoning over congruence-class
+//! splitting decide each component *symbolically* instead of by
+//! materializing lines (DESIGN.md §6b, §6d).
 //!
 //! Both set mappers reduce a line number modulo the set count `S` (the
 //! pow2 mask and the Mersenne residue are both `line mod S`), so two
 //! iteration points collide iff their line difference is a **nonzero
-//! multiple of `S`**. The domain decides that property in three layers:
+//! multiple of `S`**. The domain decides that property in four steps:
 //!
-//! 1. **Congruence-class splitting.** A reference with an unaligned
+//! 1. **Reference interval.** Every difference `ℓ_b − ℓ_a` lies in
+//!    `[first_b − last_a, last_b − first_a]` of the two references'
+//!    whole line intervals. No nonzero multiple of `S` in it ⇒ free
+//!    ([`Rule::BoundedOffset`]) without splitting anything — for a
+//!    reference against itself, the window test `last − first < S`.
+//! 2. **Congruence-class splitting.** A reference with an unaligned
 //!    stride `c` (`c mod L ≠ 0` for line size `L`) has no per-dimension
 //!    line stride — successive iterations carry unevenly across line
 //!    boundaries. But splitting the index as `i = P·u + v` with
@@ -16,37 +22,38 @@
 //!    each residue class `v` is an **exact, carry-free line lattice**
 //!    `{ base_v + Σ (c·P/L)·u_d }`. The footprint is the disjoint union
 //!    of at most `Π min(P_d, n_d)` such classes ([`class_lattices`]).
-//! 2. **Difference interval.** For each class pair, the achievable line
-//!    difference `ℓ_b − ℓ_a` is `D + Σ_B c·u − Σ_A c·u` over boxed
+//! 3. **Class difference interval.** For each class pair, the achievable
+//!    line difference `ℓ_b − ℓ_a` is `D + Σ_B c·u − Σ_A c·u` over boxed
 //!    indices `0 ≤ u ≤ n − 1` that vary independently, so its exact
 //!    interval is `[D − Σ_A c·(n−1), D + Σ_B c·(n−1)]`. No nonzero
 //!    multiple of `S` in the interval ⇒ disjoint
 //!    ([`Rule::BoundedOffset`]).
-//! 3. **Congruence-class separation.** Every achievable difference is
+//! 4. **Congruence-class separation.** Every achievable difference is
 //!    `D + v` with `v ≡ 0 (mod g)` for `g = gcd` of the pair's line
 //!    strides. If `gcd(g, S) ∤ D` the residue cosets are disjoint; if
 //!    the difference box is *complete* (a dense progression of step
 //!    `g` — the classic sorted-coefficient criterion), the CRT decides
 //!    exactly which multiples of `S` are achievable and a greedy
 //!    coefficient walk reconstructs a concrete witness
-//!    ([`Rule::CosetSeparated`]). Incomplete boxes are closed exactly
-//!    by, in order of cost: a per-dimension modular sweep, a capped
-//!    walk of the merged *difference box* (never of the line
-//!    footprint), a mixed solve that enumerates the narrow dimensions
-//!    and closes the widest one with a modular solve per combination,
-//!    and a min/max dynamic program over residues mod `S` — linear in
-//!    the dimension widths where the walk is exponential, and shared
-//!    across every class pair with the same dimension signature.
+//!    ([`Rule::CosetSeparated`]). The paper's Eq. 8 orbit bound is this
+//!    case for a single progression. Incomplete boxes (the §4 sub-block
+//!    grids among them) are closed exactly by, in order of cost: a
+//!    per-dimension modular sweep, a capped walk of the merged
+//!    *difference box* (never of the line footprint), a mixed solve that
+//!    enumerates the narrow dimensions and closes the widest one with a
+//!    modular solve per combination, a min/max dynamic program over
+//!    residues mod `S` — linear in the dimension widths where the walk
+//!    is exponential, and shared across every class pair with the same
+//!    dimension signature — and, where the DP cannot take the box, the
+//!    mixed solve again, capped only by the component's work budget.
 //!
 //! Everything here is exact: a [`RelOutcome::Free`] means no two
 //! distinct lines of the component share a set, a
 //! [`RelOutcome::Conflict`] carries two concrete colliding lines, and
 //! anything the domain cannot settle returns
 //! [`RelOutcome::NeedsEnumeration`] with a machine-readable reason
-//! (VC008 keeps those reasons string literals, so the shrinking
-//! fallback stays auditable).
-//!
-//! [`Shape::Lattice`]: crate::absint::Shape
+//! (VC008 keeps those reasons string literals, so the fallback stays
+//! auditable).
 
 use std::collections::BTreeMap;
 
@@ -71,7 +78,8 @@ const MAX_SHARED_PAIRS: usize = 1 << 19;
 /// Largest merged difference box walked exhaustively for one pair.
 const BOX_WALK_PAIR_CAP: u128 = 1 << 16;
 
-/// Largest narrow-dimension box the mixed congruence solve enumerates.
+/// Largest narrow-dimension box the mixed congruence solve enumerates
+/// ahead of the residue DP (behind it, only the work budget caps it).
 const SOLVE_BOX_CAP: u128 = 1 << 12;
 
 /// Largest set count the residue DP will allocate tables for.
@@ -219,20 +227,12 @@ pub enum RelOutcome {
     NeedsEnumeration(&'static str),
 }
 
-impl RelOutcome {
-    /// The fallback reason when the component was not settled.
-    #[must_use]
-    pub fn enumeration_reason(&self) -> Option<&'static str> {
-        match *self {
-            Self::NeedsEnumeration(reason) => Some(reason),
-            _ => None,
-        }
-    }
-}
-
 /// Decides one reference against itself.
 #[must_use]
 pub fn decide_within(r: &AffineRef, geometry: &Geometry) -> RelOutcome {
+    if intervals_bounded(r, r, geometry) {
+        return RelOutcome::Free(Rule::BoundedOffset);
+    }
     match class_lattices(r, geometry.line_words()) {
         Ok(classes) => decide_class_sets(&classes, &classes, true, geometry.sets()),
         Err(reason) => RelOutcome::NeedsEnumeration(reason),
@@ -242,11 +242,30 @@ pub fn decide_within(r: &AffineRef, geometry: &Geometry) -> RelOutcome {
 /// Decides a reference pair (distinct lines of `a` against `b`).
 #[must_use]
 pub fn decide_pair(a: &AffineRef, b: &AffineRef, geometry: &Geometry) -> RelOutcome {
+    if intervals_bounded(a, b, geometry) {
+        return RelOutcome::Free(Rule::BoundedOffset);
+    }
     let lw = geometry.line_words();
     match (class_lattices(a, lw), class_lattices(b, lw)) {
         (Ok(ca), Ok(cb)) => decide_class_sets(&ca, &cb, false, geometry.sets()),
         (Err(reason), _) | (_, Err(reason)) => RelOutcome::NeedsEnumeration(reason),
     }
+}
+
+/// Reference-level [`Rule::BoundedOffset`], tried before any class
+/// split: every difference `ℓ_b − ℓ_a` lies in
+/// `[first_b − last_a, last_b − first_a]` of the references' whole line
+/// intervals, so when that interval holds no nonzero multiple of the
+/// set count the component is free. Against itself a reference passes
+/// iff its lines span fewer than `S`.
+fn intervals_bounded(a: &AffineRef, b: &AffineRef, geometry: &Geometry) -> bool {
+    let lw = geometry.line_words();
+    let (Some((a0, a1)), Some((b0, b1))) = (a.word_range(), b.word_range()) else {
+        return false;
+    };
+    let lo = i128::from(b0 / lw) - i128::from(a1 / lw);
+    let hi = i128::from(b1 / lw) - i128::from(a0 / lw);
+    !has_nonzero_multiple(lo, hi, geometry.sets())
 }
 
 /// Scans every class pair of a component. `same_ref` walks unordered
@@ -439,17 +458,21 @@ impl PairDecider {
             if let Some(conflict) = single_dim_conflict(&self.items, d, sets, base_a, base_b) {
                 return conflict;
             }
-            if let Some(outcome) = self.mixed_solve(d, sets, base_a, base_b, budget) {
+            if let Some(outcome) = self.mixed_solve(d, sets, base_a, base_b, budget, SOLVE_BOX_CAP)
+            {
                 return outcome;
             }
             if let Some(outcome) = self.box_walk(d, sets, base_a, base_b, budget) {
                 return outcome;
             }
         }
-        match self.dp_decide(d, sets, base_a, base_b, budget) {
-            Some(outcome) => outcome,
-            None => RelOutcome::NeedsEnumeration("wide-box-above-dp-budget"),
-        }
+        // Last resort where the DP cannot take the box: the mixed solve
+        // capped only by the component budget. A modular solve costs an
+        // order of magnitude more than a DP update, so it never runs
+        // first.
+        self.dp_decide(d, sets, base_a, base_b, budget)
+            .or_else(|| self.mixed_solve(d, sets, base_a, base_b, budget, u128::MAX))
+            .unwrap_or(RelOutcome::NeedsEnumeration("wide-box-above-dp-budget"))
     }
 
     /// Exact decision for a *complete* difference box: the achievable
@@ -546,11 +569,11 @@ impl PairDecider {
     }
 
     /// Exact decision when all but the widest merged dimension span a
-    /// small box: enumerate that box and close the widest dimension
-    /// with one modular solve per combination. Distinct `y` give
-    /// distinct `x` (the stride is nonzero), so at most one congruence
-    /// solution cancels to `x = 0` — checking the first two solutions
-    /// in range settles each combination in O(1).
+    /// box of at most `cap` combinations: enumerate that box and close
+    /// the widest dimension with one modular solve per combination.
+    /// Distinct `y` give distinct `x` (the stride is nonzero), so at
+    /// most one congruence solution cancels to `x = 0` — checking the
+    /// first two solutions in range settles each combination in O(1).
     fn mixed_solve(
         &self,
         d: i128,
@@ -558,6 +581,7 @@ impl PairDecider {
         base_a: u64,
         base_b: u64,
         budget: &mut u128,
+        cap: u128,
     ) -> Option<RelOutcome> {
         let widest = self
             .merged
@@ -571,7 +595,7 @@ impl PairDecider {
             .enumerate()
             .filter(|&(k, _)| k != widest)
             .try_fold(1u128, |acc, (_, md)| acc.checked_mul(md.len()))?;
-        if small > SOLVE_BOX_CAP || small > *budget {
+        if small > cap || small > *budget {
             return None;
         }
         *budget -= small;
@@ -990,6 +1014,15 @@ mod tests {
             decide_pair(&a, &b, &g),
             RelOutcome::Free(Rule::BoundedOffset)
         );
+        // The reference-level interval runs before any class split: a
+        // reference whose split overflows still decides when its lines
+        // span fewer than S.
+        let odd = aref(0, vec![t(3, 24), t(5, 24), t(7, 24), t(9, 24)]);
+        assert_eq!(class_lattices(&odd, 8), Err("class-split-overflow"));
+        assert_eq!(
+            decide_within(&odd, &prime(13, 8)),
+            RelOutcome::Free(Rule::BoundedOffset)
+        );
     }
 
     #[test]
@@ -1027,25 +1060,26 @@ mod tests {
         let shapes: Vec<Vec<Term>> = vec![
             vec![t(12, 50)],
             vec![t(12, 50), t(3, 4)],
+            vec![t(12, 50), t(7, 3)],
             vec![t(20, 40), t(6, 5)],
             vec![t(28, 30)],
             vec![t(44, 100)],
         ];
         for g in [pow2(32, 8), prime(5, 8), pow2(64, 4), prime(7, 4)] {
-            for shape in &shapes {
-                let r = aref(7, shape.clone());
+            for (shape, base) in shapes.iter().flat_map(|s| [(s, 5), (s, 7)]) {
+                let r = aref(base, shape.clone());
                 let expect = brute_self_conflict(&r, &g);
                 match decide_within(&r, &g) {
-                    RelOutcome::Free(_) => assert!(!expect, "{shape:?} {g}"),
+                    RelOutcome::Free(_) => assert!(!expect, "{shape:?}@{base} {g}"),
                     RelOutcome::Conflict(_, la, lb) => {
-                        assert!(expect, "{shape:?} {g}");
+                        assert!(expect, "{shape:?}@{base} {g}");
                         assert_ne!(la, lb);
                         assert_eq!(g.set_of_line(la), g.set_of_line(lb));
                         assert!(brute_lines(&r, &g).contains(&la));
                         assert!(brute_lines(&r, &g).contains(&lb));
                     }
                     RelOutcome::NeedsEnumeration(reason) => {
-                        panic!("unsettled {shape:?} under {g}: {reason}")
+                        panic!("unsettled {shape:?}@{base} under {g}: {reason}")
                     }
                 }
             }
