@@ -474,6 +474,20 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
     raw_call(&addr, &Request::new(1, "ping"))
         .outcome
         .expect("ping");
+    // An op holding a control character: its root span's label is
+    // exported with a `\u000d` escape that must read back.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.write_all(b"{\"id\":7,\"op\":\"a\\rb\"}\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    assert_eq!(
+        Response::from_json(line.trim_end())
+            .unwrap()
+            .outcome
+            .unwrap_err()
+            .code,
+        ErrorCode::BadRequest
+    );
 
     handle.trigger();
     runner.join().unwrap();
@@ -483,6 +497,11 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
         .lines()
         .map(|l| vcache_trace::SpanRecord::from_jsonl(l).unwrap())
         .collect();
+
+    assert!(
+        spans.iter().any(|s| s.is_root() && s.label == "a\rb"),
+        "{text}"
+    );
 
     // Complete trees: every span finished (no Drop-fallback statuses),
     // every parent present in the same tree.

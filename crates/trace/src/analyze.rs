@@ -5,7 +5,7 @@
 //! plain-text renderings for the CLI.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 
 use crate::event::{BankEventKind, MissClass, ParseError, TraceEvent};
 
@@ -61,16 +61,6 @@ impl MissTimeline {
     }
 }
 
-/// Index of `class` in [`MissClass::ALL`] (taxonomy order).
-fn class_index(class: MissClass) -> usize {
-    match class {
-        MissClass::Compulsory => 0,
-        MissClass::Capacity => 1,
-        MissClass::ConflictSelf => 2,
-        MissClass::ConflictCross => 3,
-    }
-}
-
 /// Builds per-stream miss timelines from cache events, windowed every
 /// `window` accesses (per stream). Streams are returned in tag order.
 ///
@@ -94,7 +84,7 @@ pub fn miss_timelines(events: &[TraceEvent], window: u64) -> Vec<MissTimeline> {
         };
         current.accesses += 1;
         if let Some(class) = miss {
-            current.by_class[class_index(*class)] += 1;
+            current.by_class[class.index()] += 1;
         }
     }
     per_stream
@@ -170,13 +160,19 @@ pub fn top_conflict_sets(events: &[TraceEvent], n: usize) -> Vec<(u64, u64)> {
 /// numbers (and errors) of any lines that failed to parse.
 pub type ReadOutcome = (Vec<TraceEvent>, Vec<(usize, ParseError)>);
 
+/// The longest line [`read_jsonl`] buffers. The longest line either
+/// writer emits is under 400 bytes.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Reads a JSONL trace, returning the events and the per-line failures
 /// (blank lines are skipped silently). Corruption never aborts the
-/// read: a line that is invalid UTF-8, torn JSON, or truncated mid-record
-/// becomes a [`ParseError`] entry with its 1-indexed line number, and
-/// reading continues with the next line. Even a mid-stream read error is
-/// recorded as a failure on the line where it occurred (the events
-/// gathered up to that point are preserved).
+/// read: a line that is invalid UTF-8, torn JSON, truncated mid-record,
+/// or longer than 64 KiB becomes a [`ParseError`] entry with its
+/// 1-indexed line number, and reading continues with the next line. An
+/// over-long line's bytes are skipped, not buffered, so memory stays
+/// bounded whatever the input. Even a mid-stream read error is recorded
+/// as a failure on the line where it occurred (the events gathered up to
+/// that point are preserved).
 ///
 /// # Errors
 ///
@@ -191,7 +187,17 @@ pub fn read_jsonl(reader: impl BufRead) -> io::Result<ReadOutcome> {
     loop {
         lineno += 1;
         buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
+        // One byte past the cap tells an over-long line from one that
+        // just fits; the rest of an over-long line is skipped unbuffered.
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf);
+        let overlong = buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n');
+        let read = match read {
+            Ok(_) if overlong => reader.skip_until(b'\n').map(|_| buf.len()),
+            other => other,
+        };
+        match read {
             Ok(0) => break,
             Ok(_) => {}
             Err(e) => {
@@ -201,15 +207,22 @@ pub fn read_jsonl(reader: impl BufRead) -> io::Result<ReadOutcome> {
                 break;
             }
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            failures.push((lineno, ParseError::Malformed("invalid UTF-8".into())));
-            continue;
+        let parsed = if overlong {
+            Err(ParseError::Malformed(format!(
+                "line longer than {MAX_LINE_BYTES} bytes"
+            )))
+        } else {
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                failures.push((lineno, ParseError::Malformed("invalid UTF-8".into())));
+                continue;
+            };
+            let line = line.trim_end_matches(['\n', '\r']);
+            if line.trim().is_empty() {
+                continue;
+            }
+            TraceEvent::from_jsonl(line)
         };
-        let line = line.trim_end_matches(['\n', '\r']);
-        if line.trim().is_empty() {
-            continue;
-        }
-        match TraceEvent::from_jsonl(line) {
+        match parsed {
             Ok(ev) => events.push(ev),
             Err(e) => failures.push((lineno, e)),
         }
@@ -440,6 +453,60 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].1.to_string().contains("device torn away"));
+    }
+
+    #[test]
+    fn a_megabyte_multibyte_line_is_rejected_in_linear_time() {
+        let line = format!("{{\"ev\":\"{}\"}}", "é".repeat(1 << 19));
+        assert!(line.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        assert!(matches!(
+            TraceEvent::from_jsonl(&line),
+            Err(ParseError::BadValue("ev", v)) if v.len() == 1 << 20
+        ));
+        let (events, failures) = read_jsonl(line.as_bytes()).unwrap();
+        assert!(events.is_empty());
+        assert_eq!(
+            failures,
+            vec![(
+                1,
+                ParseError::Malformed("line longer than 65536 bytes".into())
+            )]
+        );
+        // Quadratic work on this line takes minutes.
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "{took:?}");
+    }
+
+    #[test]
+    fn an_over_long_line_is_one_failure_and_is_not_buffered() {
+        let good = format!("{}\n", cache_ev(1, 0, 0, None).to_jsonl());
+        // 16 MiB of ASCII on line 2, streamed: neither the test nor the
+        // reader holds it in memory.
+        let file = io::BufReader::new(
+            good.as_bytes()
+                .chain(io::repeat(b'x').take(16 << 20))
+                .chain("\n".as_bytes())
+                .chain(good.as_bytes()),
+        );
+        let (events, failures) = read_jsonl(file).unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            failures,
+            vec![(
+                2,
+                ParseError::Malformed("line longer than 65536 bytes".into())
+            )]
+        );
+        // The cap is exclusive of the newline: a line of exactly 64 KiB
+        // is parsed (and fails as JSON, not for its length).
+        let fits = format!("{}\n{good}", " ".repeat(MAX_LINE_BYTES - 1) + "x");
+        let (events, failures) = read_jsonl(fits.as_bytes()).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            failures,
+            vec![(1, ParseError::Malformed("expected '{'".into()))]
+        );
     }
 
     #[test]

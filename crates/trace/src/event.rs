@@ -6,7 +6,9 @@
 //! through Rust's shortest-representation `Display`, everything else is
 //! integral.
 
-use core::fmt;
+use std::borrow::Cow;
+use std::fmt;
+use std::io::Write;
 
 /// Miss taxonomy mirrored from the cache layer (§1 of Yang & Wu: self-
 /// vs cross-interference), defined here so the tracing crate has no
@@ -40,6 +42,16 @@ impl MissClass {
             Self::Capacity => "capacity",
             Self::ConflictSelf => "conflict_self",
             Self::ConflictCross => "conflict_cross",
+        }
+    }
+
+    /// Position in [`MissClass::ALL`] (taxonomy order).
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Self::Compulsory => 0,
+            Self::Capacity => 1,
+            Self::ConflictSelf => 2,
+            Self::ConflictCross => 3,
         }
     }
 
@@ -168,18 +180,14 @@ impl TraceEvent {
     /// Serializes to one JSON line (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        fn opt_u64(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".into(), |n| n.to_string())
-        }
-        fn f64_json(x: f64) -> String {
-            // Cycle counts are always finite; guard anyway so the line
-            // stays valid JSON.
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "0".into()
-            }
-        }
+        let mut line = Vec::with_capacity(128);
+        self.write_jsonl(&mut line);
+        String::from_utf8_lossy(&line).into_owned()
+    }
+
+    /// Appends the [`TraceEvent::to_jsonl`] line (no trailing newline) to
+    /// `out` without allocating beyond `out`'s own growth.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
         match self {
             Self::CacheAccess {
                 seq,
@@ -188,34 +196,66 @@ impl TraceEvent {
                 set,
                 miss,
                 evicted,
-            } => format!(
-                "{{\"ev\":\"cache\",\"seq\":{seq},\"word\":{word},\"stream\":{stream},\
-                 \"set\":{set},\"miss\":{},\"evicted\":{}}}",
-                miss.map_or_else(|| "null".into(), |m| format!("\"{}\"", m.name())),
-                opt_u64(*evicted),
-            ),
+            } => {
+                out.extend_from_slice(b"{\"ev\":\"cache\",\"seq\":");
+                push_u64(out, *seq);
+                out.extend_from_slice(b",\"word\":");
+                push_u64(out, *word);
+                out.extend_from_slice(b",\"stream\":");
+                push_u64(out, u64::from(*stream));
+                out.extend_from_slice(b",\"set\":");
+                push_u64(out, *set);
+                out.extend_from_slice(b",\"miss\":");
+                match miss {
+                    Some(class) => push_name(out, class.name()),
+                    None => out.extend_from_slice(b"null"),
+                }
+                out.extend_from_slice(b",\"evicted\":");
+                match evicted {
+                    Some(line) => push_u64(out, *line),
+                    None => out.extend_from_slice(b"null"),
+                }
+            }
             Self::BankAccess {
                 bank,
                 addr,
                 requested,
                 wait,
                 state,
-            } => format!(
-                "{{\"ev\":\"bank\",\"bank\":{bank},\"addr\":{addr},\"requested\":{requested},\
-                 \"wait\":{wait},\"state\":\"{}\"}}",
-                state.name(),
-            ),
-            Self::PhaseBegin { kind, sweep, cycle } => format!(
-                "{{\"ev\":\"phase_begin\",\"kind\":\"{}\",\"sweep\":{sweep},\"cycle\":{}}}",
-                kind.name(),
-                f64_json(*cycle),
-            ),
-            Self::PhaseEnd { kind, sweep, cycle } => format!(
-                "{{\"ev\":\"phase_end\",\"kind\":\"{}\",\"sweep\":{sweep},\"cycle\":{}}}",
-                kind.name(),
-                f64_json(*cycle),
-            ),
+            } => {
+                out.extend_from_slice(b"{\"ev\":\"bank\",\"bank\":");
+                push_u64(out, *bank);
+                out.extend_from_slice(b",\"addr\":");
+                push_u64(out, *addr);
+                out.extend_from_slice(b",\"requested\":");
+                push_u64(out, *requested);
+                out.extend_from_slice(b",\"wait\":");
+                push_u64(out, *wait);
+                out.extend_from_slice(b",\"state\":");
+                push_name(out, state.name());
+            }
+            Self::PhaseBegin { kind, sweep, cycle } | Self::PhaseEnd { kind, sweep, cycle } => {
+                out.extend_from_slice(if matches!(self, Self::PhaseBegin { .. }) {
+                    b"{\"ev\":\"phase_begin\",\"kind\":"
+                } else {
+                    b"{\"ev\":\"phase_end\",\"kind\":"
+                });
+                push_name(out, kind.name());
+                out.extend_from_slice(b",\"sweep\":");
+                push_u64(out, *sweep);
+                out.extend_from_slice(b",\"cycle\":");
+                // Cycle counts are always finite; guard anyway so the line
+                // stays valid JSON. `Display` is the shortest form that
+                // parses back to the same value.
+                if cycle.is_finite() {
+                    // Writing to a `Vec` cannot fail.
+                    let _ = write!(out, "{cycle}");
+                } else {
+                    out.push(b'0');
+                }
+            }
         }
+        out.push(b'}');
     }
 
     /// Parses one JSON line produced by [`TraceEvent::to_jsonl`].
@@ -225,45 +265,84 @@ impl TraceEvent {
     /// Returns [`ParseError`] on malformed JSON, unknown tags, or missing
     /// fields.
     pub fn from_jsonl(line: &str) -> Result<Self, ParseError> {
-        let fields = parse_flat_object(line)?;
-        let ev = need_str(&fields, "ev")?;
+        #[derive(Default)]
+        struct Slots<'a> {
+            ev: Option<Lit<'a>>,
+            seq: Option<Lit<'a>>,
+            word: Option<Lit<'a>>,
+            stream: Option<Lit<'a>>,
+            set: Option<Lit<'a>>,
+            miss: Option<Lit<'a>>,
+            evicted: Option<Lit<'a>>,
+            bank: Option<Lit<'a>>,
+            addr: Option<Lit<'a>>,
+            requested: Option<Lit<'a>>,
+            wait: Option<Lit<'a>>,
+            state: Option<Lit<'a>>,
+            kind: Option<Lit<'a>>,
+            sweep: Option<Lit<'a>>,
+            cycle: Option<Lit<'a>>,
+        }
+        let mut f = Slots::default();
+        scan_object(line, |key, value| {
+            let slot = match key {
+                "ev" => &mut f.ev,
+                "seq" => &mut f.seq,
+                "word" => &mut f.word,
+                "stream" => &mut f.stream,
+                "set" => &mut f.set,
+                "miss" => &mut f.miss,
+                "evicted" => &mut f.evicted,
+                "bank" => &mut f.bank,
+                "addr" => &mut f.addr,
+                "requested" => &mut f.requested,
+                "wait" => &mut f.wait,
+                "state" => &mut f.state,
+                "kind" => &mut f.kind,
+                "sweep" => &mut f.sweep,
+                "cycle" => &mut f.cycle,
+                _ => return,
+            };
+            slot.get_or_insert(value);
+        })?;
+        let ev = need_str(&f.ev, "ev")?;
         match ev {
             "cache" => Ok(Self::CacheAccess {
-                seq: need_u64(&fields, "seq")?,
-                word: need_u64(&fields, "word")?,
+                seq: need_u64(&f.seq, "seq")?,
+                word: need_u64(&f.word, "word")?,
                 stream: {
-                    let v = need_u64(&fields, "stream")?;
+                    let v = need_u64(&f.stream, "stream")?;
                     u32::try_from(v).map_err(|_| ParseError::BadValue("stream", v.to_string()))?
                 },
-                set: need_u64(&fields, "set")?,
-                miss: match opt_str(&fields, "miss")? {
+                set: need_u64(&f.set, "set")?,
+                miss: match opt_str(&f.miss, "miss")? {
                     None => None,
                     Some(s) => Some(
                         MissClass::from_name(s)
                             .ok_or_else(|| ParseError::BadValue("miss", s.to_string()))?,
                     ),
                 },
-                evicted: opt_u64(&fields, "evicted")?,
+                evicted: opt_u64(&f.evicted, "evicted")?,
             }),
             "bank" => Ok(Self::BankAccess {
-                bank: need_u64(&fields, "bank")?,
-                addr: need_u64(&fields, "addr")?,
-                requested: need_u64(&fields, "requested")?,
-                wait: need_u64(&fields, "wait")?,
+                bank: need_u64(&f.bank, "bank")?,
+                addr: need_u64(&f.addr, "addr")?,
+                requested: need_u64(&f.requested, "requested")?,
+                wait: need_u64(&f.wait, "wait")?,
                 state: {
-                    let s = need_str(&fields, "state")?;
+                    let s = need_str(&f.state, "state")?;
                     BankEventKind::from_name(s)
                         .ok_or_else(|| ParseError::BadValue("state", s.to_string()))?
                 },
             }),
             "phase_begin" | "phase_end" => {
                 let kind = {
-                    let s = need_str(&fields, "kind")?;
+                    let s = need_str(&f.kind, "kind")?;
                     PhaseKind::from_name(s)
                         .ok_or_else(|| ParseError::BadValue("kind", s.to_string()))?
                 };
-                let sweep = need_u64(&fields, "sweep")?;
-                let cycle = need_f64(&fields, "cycle")?;
+                let sweep = need_u64(&f.sweep, "sweep")?;
+                let cycle = need_f64(&f.cycle, "cycle")?;
                 Ok(if ev == "phase_begin" {
                     Self::PhaseBegin { kind, sweep, cycle }
                 } else {
@@ -273,6 +352,28 @@ impl TraceEvent {
             other => Err(ParseError::BadValue("ev", other.to_string())),
         }
     }
+}
+
+/// Appends the decimal digits of `n`.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends a wire name as a JSON string (names need no escaping).
+fn push_name(out: &mut Vec<u8>, name: &str) {
+    out.push(b'"');
+    out.extend_from_slice(name.as_bytes());
+    out.push(b'"');
 }
 
 /// Errors parsing a trace line.
@@ -300,185 +401,269 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed scalar: the only value shapes trace lines contain.
+/// A scalar of a flat line, a slice of the line wherever it can be: the
+/// only value shapes trace and span lines contain. Its `Debug` text is part of the
+/// error contract ([`ParseError::BadValue`] carries it when a field holds
+/// the wrong shape).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Lit {
+pub(crate) enum Lit<'a> {
     Null,
-    Str(String),
-    /// Raw number text, reparsed per target type to keep u64 exactness.
-    Num(String),
+    /// A string: a slice of the line unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// Raw number text, parsed per target type to keep `u64` exact.
+    Num(&'a str),
 }
 
-fn need_field<'a>(fields: &'a [(String, Lit)], key: &'static str) -> Result<&'a Lit, ParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or(ParseError::MissingField(key))
+fn need<'s, 'a>(slot: &'s Option<Lit<'a>>, key: &'static str) -> Result<&'s Lit<'a>, ParseError> {
+    slot.as_ref().ok_or(ParseError::MissingField(key))
 }
 
-pub(crate) fn need_u64(fields: &[(String, Lit)], key: &'static str) -> Result<u64, ParseError> {
-    match need_field(fields, key)? {
-        Lit::Num(raw) => raw
-            .parse()
-            .map_err(|_| ParseError::BadValue(key, raw.clone())),
-        other => Err(ParseError::BadValue(key, format!("{other:?}"))),
+fn wrong_shape(key: &'static str, lit: &Lit<'_>) -> ParseError {
+    ParseError::BadValue(key, format!("{lit:?}"))
+}
+
+fn parse_num<T: std::str::FromStr>(raw: &str, key: &'static str) -> Result<T, ParseError> {
+    raw.parse()
+        .map_err(|_| ParseError::BadValue(key, raw.to_string()))
+}
+
+pub(crate) fn need_u64(slot: &Option<Lit<'_>>, key: &'static str) -> Result<u64, ParseError> {
+    match need(slot, key)? {
+        Lit::Num(raw) => parse_num(raw, key),
+        other => Err(wrong_shape(key, other)),
     }
 }
 
 pub(crate) fn opt_u64(
-    fields: &[(String, Lit)],
+    slot: &Option<Lit<'_>>,
     key: &'static str,
 ) -> Result<Option<u64>, ParseError> {
-    match need_field(fields, key)? {
+    match need(slot, key)? {
         Lit::Null => Ok(None),
-        Lit::Num(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| ParseError::BadValue(key, raw.clone())),
-        other => Err(ParseError::BadValue(key, format!("{other:?}"))),
+        Lit::Num(raw) => parse_num(raw, key).map(Some),
+        other => Err(wrong_shape(key, other)),
     }
 }
 
-fn need_f64(fields: &[(String, Lit)], key: &'static str) -> Result<f64, ParseError> {
-    match need_field(fields, key)? {
-        Lit::Num(raw) => raw
-            .parse()
-            .map_err(|_| ParseError::BadValue(key, raw.clone())),
-        other => Err(ParseError::BadValue(key, format!("{other:?}"))),
+fn need_f64(slot: &Option<Lit<'_>>, key: &'static str) -> Result<f64, ParseError> {
+    match need(slot, key)? {
+        Lit::Num(raw) => parse_num(raw, key),
+        other => Err(wrong_shape(key, other)),
     }
 }
 
-pub(crate) fn need_str<'a>(
-    fields: &'a [(String, Lit)],
+pub(crate) fn need_str<'s>(
+    slot: &'s Option<Lit<'_>>,
     key: &'static str,
-) -> Result<&'a str, ParseError> {
-    match need_field(fields, key)? {
+) -> Result<&'s str, ParseError> {
+    match need(slot, key)? {
         Lit::Str(s) => Ok(s),
-        other => Err(ParseError::BadValue(key, format!("{other:?}"))),
+        other => Err(wrong_shape(key, other)),
     }
 }
 
-pub(crate) fn opt_str<'a>(
-    fields: &'a [(String, Lit)],
+pub(crate) fn opt_str<'s>(
+    slot: &'s Option<Lit<'_>>,
     key: &'static str,
-) -> Result<Option<&'a str>, ParseError> {
-    match need_field(fields, key)? {
+) -> Result<Option<&'s str>, ParseError> {
+    match need(slot, key)? {
         Lit::Null => Ok(None),
         Lit::Str(s) => Ok(Some(s)),
-        other => Err(ParseError::BadValue(key, format!("{other:?}"))),
+        other => Err(wrong_shape(key, other)),
     }
 }
 
-/// Parses `{"key": scalar, ...}` — the only JSON shape trace lines use.
-pub(crate) fn parse_flat_object(line: &str) -> Result<Vec<(String, Lit)>, ParseError> {
-    let err = |why: &str| ParseError::Malformed(why.to_string());
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
+fn malformed(why: &str) -> ParseError {
+    ParseError::Malformed(why.to_string())
+}
+
+/// Scans `{"key": scalar, ...}`, the only JSON shape trace and span lines
+/// use, handing each key and value to `field` in line order. The whole
+/// line is checked before the caller looks at any value, so a syntax
+/// error wins over a missing or bad field.
+///
+/// Every byte is visited a bounded number of times, and nothing is
+/// allocated unless a string holds an escape. Strings accept every RFC
+/// 8259 escape, `\uXXXX` surrogate pairs included; a lone surrogate is
+/// [`ParseError::Malformed`]. Numbers stay raw text for the caller to
+/// parse.
+pub(crate) fn scan_object<'a>(
+    line: &'a str,
+    mut field: impl FnMut(&str, Lit<'a>),
+) -> Result<(), ParseError> {
+    let mut s = Scanner {
+        line,
+        bytes: line.as_bytes(),
+        pos: 0,
     };
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-        let err = |why: &str| ParseError::Malformed(why.to_string());
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(err("expected string"));
-        }
-        *pos += 1;
-        let mut out = String::new();
+    s.skip_ws();
+    if !s.eat(b'{') {
+        return Err(malformed("expected '{'"));
+    }
+    s.skip_ws();
+    if !s.eat(b'}') {
         loop {
-            match bytes.get(*pos) {
-                None => return Err(err("unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        _ => return Err(err("unsupported escape")),
-                    }
-                    *pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let s = &bytes[*pos..];
-                    let text = std::str::from_utf8(s).map_err(|_| err("invalid utf-8"))?;
-                    let ch = text.chars().next().ok_or_else(|| err("empty"))?;
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
+            s.skip_ws();
+            let key = s.string()?;
+            s.skip_ws();
+            if !s.eat(b':') {
+                return Err(malformed("expected ':'"));
+            }
+            s.skip_ws();
+            let value = s.value()?;
+            field(&key, value);
+            s.skip_ws();
+            if s.eat(b'}') {
+                break;
+            }
+            if !s.eat(b',') {
+                return Err(malformed("expected ',' or '}'"));
             }
         }
     }
-
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err(err("expected '{'"));
+    s.skip_ws();
+    if s.pos != s.bytes.len() {
+        return Err(malformed("trailing characters"));
     }
-    pos += 1;
-    let mut fields = Vec::new();
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-    } else {
-        loop {
-            skip_ws(&mut pos);
-            let key = parse_string(bytes, &mut pos)?;
-            skip_ws(&mut pos);
-            if bytes.get(pos) != Some(&b':') {
-                return Err(err("expected ':'"));
+    Ok(())
+}
+
+/// A cursor over one line.
+struct Scanner<'a> {
+    line: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(u8::is_ascii_whitespace)
+        {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.bytes.get(self.pos) == Some(&byte);
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    fn value(&mut self) -> Result<Lit<'a>, ParseError> {
+        match self.bytes.get(self.pos) {
+            Some(b'"') => self.string().map(Lit::Str),
+            Some(b'n') => {
+                if self.bytes[self.pos..].starts_with(b"null") {
+                    self.pos += 4;
+                    Ok(Lit::Null)
+                } else {
+                    Err(malformed("bad literal"))
+                }
             }
-            pos += 1;
-            skip_ws(&mut pos);
-            let value = match bytes.get(pos) {
-                Some(b'"') => Lit::Str(parse_string(bytes, &mut pos)?),
-                Some(b'n') => {
-                    if bytes[pos..].starts_with(b"null") {
-                        pos += 4;
-                        Lit::Null
-                    } else {
-                        return Err(err("bad literal"));
-                    }
+            Some(&b) if b == b'-' || b.is_ascii_digit() => {
+                let start = self.pos;
+                while self
+                    .bytes
+                    .get(self.pos)
+                    .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                {
+                    self.pos += 1;
                 }
-                Some(&b) if b == b'-' || b.is_ascii_digit() => {
-                    let start = pos;
-                    while pos < bytes.len()
-                        && matches!(bytes[pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                    {
-                        pos += 1;
-                    }
-                    Lit::Num(line[start..pos].to_string())
-                }
-                _ => return Err(err("unsupported value (flat scalars only)")),
+                Ok(Lit::Num(&self.line[start..self.pos]))
+            }
+            _ => Err(malformed("unsupported value (flat scalars only)")),
+        }
+    }
+
+    /// Scans a string, borrowing it from the line when it holds no
+    /// escape. Both delimiters are ASCII, so every slice taken here lies
+    /// on character boundaries.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        if !self.eat(b'"') {
+            return Err(malformed("expected string"));
+        }
+        let run = self.run()?;
+        if self.bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = String::from(run);
+        loop {
+            // At a backslash.
+            self.pos += 1;
+            let unescaped = match self.bytes.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(malformed("unsupported escape")),
             };
-            fields.push((key, value));
-            skip_ws(&mut pos);
-            match bytes.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b'}') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return Err(err("expected ',' or '}'")),
+            self.pos += 1;
+            out.push(unescaped);
+            out.push_str(self.run()?);
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(Cow::Owned(out));
             }
         }
     }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err(err("trailing characters"));
+
+    /// Advances to the next `"` or `\` and returns the text before it.
+    fn run(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| malformed("unterminated string"))?;
+        self.pos = start + len;
+        Ok(&self.line[start..self.pos])
     }
-    Ok(fields)
+
+    /// Decodes the `\uXXXX` whose `u` is at `pos`, joining a surrogate
+    /// pair; leaves `pos` on the escape's last hex digit.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let lone = || malformed("lone surrogate");
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(lone());
+            }
+            code = 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        // `from_u32` refuses exactly the surrogates left unpaired.
+        char::from_u32(code).ok_or_else(lone)
+    }
+
+    /// Reads the four hex digits after the `u` at `pos`, leaving `pos` on
+    /// the last of them.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| malformed("unsupported escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let v = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| malformed("unsupported escape"))?;
+            code = code * 16 + v;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
 }
 
 #[cfg(test)]
@@ -575,6 +760,44 @@ mod tests {
         ] {
             assert!(TraceEvent::from_jsonl(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn every_json_escape_decodes_and_a_lone_surrogate_is_malformed() {
+        // `ev` echoes its decoded value back in the error.
+        let ev = |text: &str| TraceEvent::from_jsonl(&format!("{{\"ev\":\"{text}\"}}"));
+        assert_eq!(
+            ev(r#"\/\b\f\n\r\t\"\\\u0041\u00e9\u0000\ud83d\ude00"#),
+            Err(ParseError::BadValue(
+                "ev",
+                "/\u{8}\u{c}\n\r\t\"\\Aé\u{0}\u{1f600}".into()
+            ))
+        );
+        for lone in [
+            r"\ud83d",
+            r"\ud83dx",
+            r"\ude00",
+            r"\ud83d\u0041",
+            r"\ud83d\",
+        ] {
+            assert_eq!(
+                ev(lone),
+                Err(ParseError::Malformed("lone surrogate".into())),
+                "{lone}"
+            );
+        }
+        for bad in [r"\u12g4", r"\u+123", r"\u12", r"\x"] {
+            assert_eq!(
+                ev(bad),
+                Err(ParseError::Malformed("unsupported escape".into())),
+                "{bad}"
+            );
+        }
+        // Keys decode too.
+        assert_eq!(
+            TraceEvent::from_jsonl(r#"{"\u0065v":"cache"}"#),
+            Err(ParseError::MissingField("seq"))
+        );
     }
 
     #[test]

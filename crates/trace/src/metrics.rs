@@ -90,10 +90,11 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to the named monotonic counter (created at 0).
+    /// Adds `delta` to the named monotonic counter (created at 0),
+    /// saturating at `u64::MAX`.
     pub fn count(&mut self, name: &str, delta: u64) {
         if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
+            *c = c.saturating_add(delta);
         } else {
             self.counters.insert(name.to_string(), delta);
         }
@@ -122,6 +123,17 @@ impl MetricsRegistry {
             h.observe(value);
             self.histograms.insert(name.to_string(), h);
         }
+    }
+
+    /// Removes the named histogram, for a caller that records into it
+    /// directly and hands it back with [`Self::put_histogram`].
+    pub(crate) fn take_histogram(&mut self, name: &str) -> Option<Histogram> {
+        self.histograms.remove(name)
+    }
+
+    /// Stores `histogram` under `name`, replacing any held there.
+    pub(crate) fn put_histogram(&mut self, name: &str, histogram: Histogram) {
+        self.histograms.insert(name.to_string(), histogram);
     }
 
     /// Current value of a counter (0 if never touched).

@@ -11,7 +11,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::event::{BankEventKind, PhaseKind, TraceEvent};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Histogram, MetricsRegistry, DEFAULT_BOUNDS};
 
 /// Receives trace events.
 pub trait TraceSink {
@@ -115,6 +115,8 @@ impl TraceSink for RingSink {
 pub struct JsonlSink<W: Write = BufWriter<File>> {
     /// `None` only transiently, after `into_inner` takes the writer.
     out: Option<W>,
+    /// The line being written, reused from event to event.
+    line: Vec<u8>,
     written: u64,
     error: Option<io::Error>,
 }
@@ -135,6 +137,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn from_writer(out: W) -> Self {
         Self {
             out: Some(out),
+            line: Vec::with_capacity(128),
             written: 0,
             error: None,
         }
@@ -169,8 +172,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = event.to_jsonl();
-        if let Err(e) = writeln!(out, "{line}") {
+        self.line.clear();
+        event.write_jsonl(&mut self.line);
+        self.line.push(b'\n');
+        if let Err(e) = out.write_all(&self.line) {
             self.error = Some(e);
         } else {
             self.written += 1;
@@ -207,53 +212,91 @@ impl<W: Write> Drop for JsonlSink<W> {
 /// | `mem.accesses` / `mem.bank_conflicts` | counter | bank events seen |
 /// | `mem.bank_wait_cycles` | histogram | wait per bank access |
 /// | `machine.chimes` | counter | chime phases completed |
+///
+/// The sink counts in typed fields and folds them into the registry once,
+/// when it is dropped; the registry stays borrowed until then. A counter
+/// or histogram appears only once it has counted something, as if each
+/// event had been recorded into the registry directly.
 pub struct MeteringSink<'a> {
     inner: &'a mut dyn TraceSink,
     metrics: &'a mut MetricsRegistry,
+    cache_accesses: u64,
+    cache_hits: u64,
+    /// Misses by class, indexed per `MissClass::ALL`.
+    misses: [u64; 4],
+    mem_accesses: u64,
+    bank_conflicts: u64,
+    chimes: u64,
     last_miss_seq: Option<u64>,
+    /// Taken out of the registry (when it already held them) and put back
+    /// on drop.
+    inter_miss_distance: Option<Histogram>,
+    bank_wait_cycles: Option<Histogram>,
 }
+
+const INTER_MISS_DISTANCE: &str = "cache.inter_miss_distance";
+const BANK_WAIT_CYCLES: &str = "mem.bank_wait_cycles";
+/// `cache.miss.<class>`, indexed per `MissClass::ALL`.
+const MISS_COUNTERS: [&str; 4] = [
+    "cache.miss.compulsory",
+    "cache.miss.capacity",
+    "cache.miss.conflict_self",
+    "cache.miss.conflict_cross",
+];
 
 impl<'a> MeteringSink<'a> {
     /// Wraps `inner`, accumulating into `metrics`.
     pub fn new(inner: &'a mut dyn TraceSink, metrics: &'a mut MetricsRegistry) -> Self {
         Self {
             inner,
+            inter_miss_distance: metrics.take_histogram(INTER_MISS_DISTANCE),
+            bank_wait_cycles: metrics.take_histogram(BANK_WAIT_CYCLES),
             metrics,
+            cache_accesses: 0,
+            cache_hits: 0,
+            misses: [0; 4],
+            mem_accesses: 0,
+            bank_conflicts: 0,
+            chimes: 0,
             last_miss_seq: None,
         }
     }
+}
+
+/// Records into `slot`, creating it with the registry's default bounds on
+/// first use.
+fn observe(slot: &mut Option<Histogram>, value: u64) {
+    slot.get_or_insert_with(|| Histogram::new(&DEFAULT_BOUNDS))
+        .observe(value);
 }
 
 impl TraceSink for MeteringSink<'_> {
     fn record(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::CacheAccess { seq, miss, .. } => {
-                self.metrics.count("cache.accesses", 1);
+                self.cache_accesses += 1;
                 match miss {
                     Some(class) => {
-                        self.metrics.count("cache.misses", 1);
-                        self.metrics
-                            .count(&format!("cache.miss.{}", class.name()), 1);
+                        self.misses[class.index()] += 1;
                         if let Some(prev) = self.last_miss_seq {
-                            self.metrics
-                                .observe("cache.inter_miss_distance", seq.saturating_sub(prev));
+                            observe(&mut self.inter_miss_distance, seq.saturating_sub(prev));
                         }
                         self.last_miss_seq = Some(*seq);
                     }
-                    None => self.metrics.count("cache.hits", 1),
+                    None => self.cache_hits += 1,
                 }
             }
             TraceEvent::BankAccess { wait, state, .. } => {
-                self.metrics.count("mem.accesses", 1);
-                self.metrics.observe("mem.bank_wait_cycles", *wait);
+                self.mem_accesses += 1;
+                observe(&mut self.bank_wait_cycles, *wait);
                 if *state == BankEventKind::Busy {
-                    self.metrics.count("mem.bank_conflicts", 1);
+                    self.bank_conflicts += 1;
                 }
             }
             TraceEvent::PhaseEnd {
                 kind: PhaseKind::Chime,
                 ..
-            } => self.metrics.count("machine.chimes", 1),
+            } => self.chimes += 1,
             TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. } => {}
         }
         self.inner.record(event);
@@ -261,6 +304,37 @@ impl TraceSink for MeteringSink<'_> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+}
+
+impl Drop for MeteringSink<'_> {
+    /// Folds the typed state into the registry, with nothing that can
+    /// panic.
+    fn drop(&mut self) {
+        let misses = self
+            .misses
+            .iter()
+            .fold(0, |sum, &n| u64::saturating_add(sum, n));
+        let counters = [
+            ("cache.accesses", self.cache_accesses),
+            ("cache.hits", self.cache_hits),
+            ("cache.misses", misses),
+            ("mem.accesses", self.mem_accesses),
+            ("mem.bank_conflicts", self.bank_conflicts),
+            ("machine.chimes", self.chimes),
+        ];
+        let by_class = MISS_COUNTERS.into_iter().zip(self.misses);
+        for (name, n) in counters.into_iter().chain(by_class) {
+            if n > 0 {
+                self.metrics.count(name, n);
+            }
+        }
+        if let Some(h) = self.inter_miss_distance.take() {
+            self.metrics.put_histogram(INTER_MISS_DISTANCE, h);
+        }
+        if let Some(h) = self.bank_wait_cycles.take() {
+            self.metrics.put_histogram(BANK_WAIT_CYCLES, h);
+        }
     }
 }
 
@@ -395,9 +469,11 @@ mod tests {
     fn metering_sink_tracks_inter_miss_distance() {
         let mut null = NullSink;
         let mut metrics = MetricsRegistry::new();
-        let mut meter = MeteringSink::new(&mut null, &mut metrics);
-        for seq in [2u64, 4, 10] {
-            meter.record(&ev(seq)); // even seqs are misses
+        {
+            let mut meter = MeteringSink::new(&mut null, &mut metrics);
+            for seq in [2u64, 4, 10] {
+                meter.record(&ev(seq)); // even seqs are misses
+            }
         }
         let snap = metrics.snapshot();
         let h = snap
@@ -407,6 +483,39 @@ mod tests {
             .unwrap();
         assert_eq!(h.total, 2); // distances 2 and 6
         assert_eq!(h.sum, 8);
+    }
+
+    #[test]
+    fn metering_sink_adds_to_what_the_registry_already_holds() {
+        let mut null = NullSink;
+        let mut metrics = MetricsRegistry::new();
+        metrics.count("cache.accesses", 10);
+        metrics.register_histogram("mem.bank_wait_cycles", &[4]);
+        {
+            let mut meter = MeteringSink::new(&mut null, &mut metrics);
+            meter.record(&ev(1));
+            for wait in [3, 5] {
+                meter.record(&TraceEvent::BankAccess {
+                    bank: 0,
+                    addr: 0,
+                    requested: 0,
+                    wait,
+                    state: BankEventKind::Free,
+                });
+            }
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("cache.accesses"), 11);
+        // Only what was counted appears: no misses, no conflicts.
+        let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["cache.accesses", "cache.hits", "mem.accesses"]);
+        let waits = &snap.histograms[0];
+        assert_eq!(
+            (waits.name.as_str(), waits.bounds.as_slice()),
+            ("mem.bank_wait_cycles", &[4][..])
+        );
+        assert_eq!(waits.counts, [1, 1]);
+        assert_eq!(snap.histograms.len(), 1);
     }
 
     #[test]

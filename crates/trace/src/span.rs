@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::event::ParseError;
+use crate::event::{need_str, need_u64, opt_str, opt_u64, scan_object, Lit, ParseError};
 
 /// Status a [`SpanHandle`] records when dropped while its thread is
 /// panicking.
@@ -129,17 +129,44 @@ impl SpanRecord {
     ///
     /// Returns [`ParseError`] on malformed JSON or missing fields.
     pub fn from_jsonl(text: &str) -> Result<Self, ParseError> {
-        let fields = crate::event::parse_flat_object(text)?;
+        #[derive(Default)]
+        struct Slots<'a> {
+            span: Option<Lit<'a>>,
+            parent: Option<Lit<'a>>,
+            request: Option<Lit<'a>>,
+            label: Option<Lit<'a>>,
+            start_us: Option<Lit<'a>>,
+            dur_us: Option<Lit<'a>>,
+            status: Option<Lit<'a>>,
+            req_id: Option<Lit<'a>>,
+            digest: Option<Lit<'a>>,
+        }
+        let mut f = Slots::default();
+        scan_object(text, |key, value| {
+            let slot = match key {
+                "span" => &mut f.span,
+                "parent" => &mut f.parent,
+                "request" => &mut f.request,
+                "label" => &mut f.label,
+                "start_us" => &mut f.start_us,
+                "dur_us" => &mut f.dur_us,
+                "status" => &mut f.status,
+                "req_id" => &mut f.req_id,
+                "digest" => &mut f.digest,
+                _ => return,
+            };
+            slot.get_or_insert(value);
+        })?;
         Ok(Self {
-            span: crate::event::need_u64(&fields, "span")?,
-            parent: crate::event::opt_u64(&fields, "parent")?,
-            request: crate::event::need_u64(&fields, "request")?,
-            label: crate::event::need_str(&fields, "label")?.to_owned(),
-            start_us: crate::event::need_u64(&fields, "start_us")?,
-            dur_us: crate::event::need_u64(&fields, "dur_us")?,
-            status: crate::event::need_str(&fields, "status")?.to_owned(),
-            req_id: crate::event::opt_u64(&fields, "req_id")?,
-            digest: crate::event::opt_str(&fields, "digest")?.map(str::to_owned),
+            span: need_u64(&f.span, "span")?,
+            parent: opt_u64(&f.parent, "parent")?,
+            request: need_u64(&f.request, "request")?,
+            label: need_str(&f.label, "label")?.to_owned(),
+            start_us: need_u64(&f.start_us, "start_us")?,
+            dur_us: need_u64(&f.dur_us, "dur_us")?,
+            status: need_str(&f.status, "status")?.to_owned(),
+            req_id: opt_u64(&f.req_id, "req_id")?,
+            digest: opt_str(&f.digest, "digest")?.map(str::to_owned),
         })
     }
 }
@@ -494,6 +521,19 @@ mod tests {
                 status: STATUS_ABANDONED.into(),
                 req_id: Some(0),
                 digest: None,
+            },
+            // Every control character, which the writer escapes as
+            // `\u00XX` unless it has a short escape.
+            SpanRecord {
+                span: 4,
+                parent: None,
+                request: 4,
+                label: (0u8..0x20).map(char::from).collect::<String>() + "\"\\",
+                start_us: 3,
+                dur_us: 4,
+                status: "a\rb\"\\\u{1f}".into(),
+                req_id: Some(7),
+                digest: Some("\u{0}\\\"é".into()),
             },
         ];
         for record in samples {
