@@ -737,6 +737,38 @@ pub fn analyze_nest_with_budget(
     geometry: &Geometry,
     nest_budget: &NestBudget<'_>,
 ) -> Result<NestAnalysis, NestError> {
+    analyze_components(nest, geometry, nest_budget, false)
+}
+
+/// Whether `nest` is conflict-free under `geometry`: the verdict of
+/// [`analyze_nest_with_budget`] without the rest of the analysis. It runs
+/// the same component loop with the same polls, but returns `Ok(false)`
+/// at the first conflicting component — the planner's check of each
+/// candidate, which needs only this bit.
+///
+/// # Errors
+///
+/// As [`analyze_nest_with_budget`], for the components it reaches: an
+/// error the full analysis would meet only past the first conflict (a
+/// later poll, the enumeration cap) does not arise.
+pub(crate) fn is_conflict_free_with_budget(
+    nest: &LoopNest,
+    geometry: &Geometry,
+    nest_budget: &NestBudget<'_>,
+) -> Result<bool, NestError> {
+    analyze_components(nest, geometry, nest_budget, true).map(|a| a.verdict.is_conflict_free())
+}
+
+/// The analysis behind both entries. With `verdict_only`, the component
+/// loop and the enumeration scan stop at the first conflict, so the
+/// result's verdict is right about conflict freedom but its proofs,
+/// witness and self/cross classification may be partial.
+fn analyze_components(
+    nest: &LoopNest,
+    geometry: &Geometry,
+    nest_budget: &NestBudget<'_>,
+    verdict_only: bool,
+) -> Result<NestAnalysis, NestError> {
     let mut poll = CancelPoll::new(nest_budget);
     let line_words = geometry.line_words();
     let line_sets: Vec<LineSet> = observe_phase(nest_budget, "lineset", || {
@@ -774,7 +806,7 @@ pub fn analyze_nest_with_budget(
     // back, with a reason, is left for enumeration.
     let refs = &nest.refs;
     let mut fallback_reasons: Vec<FallbackReason> = Vec::new();
-    observe_phase(nest_budget, "rules", || {
+    let settled = observe_phase(nest_budget, "rules", || {
         let pairs = (0..refs.len())
             .flat_map(|a| (a + 1..refs.len()).map(move |b| Component::Pair { a, b }));
         for component in (0..refs.len())
@@ -792,18 +824,26 @@ pub fn analyze_nest_with_budget(
             };
             match outcome {
                 RelOutcome::Free(rule) => record(component, rule, None),
-                RelOutcome::Conflict(rule, a, b) => record(component, rule, Some((a, b))),
+                RelOutcome::Conflict(rule, a, b) => {
+                    record(component, rule, Some((a, b)));
+                    if verdict_only {
+                        return Ok(true);
+                    }
+                }
                 RelOutcome::NeedsEnumeration(reason) => fallback_reasons.push(FallbackReason {
                     component,
                     reason: reason.to_owned(),
                 }),
             }
         }
-        Ok(())
+        Ok(false)
     })?;
 
     // Exact fallback for whatever the relational domain handed back.
     let enumerated_lines = observe_phase(nest_budget, "enumerate", || {
+        if settled {
+            return Ok(0);
+        }
         let max_words = nest_budget.max_words;
         let mut budget = max_words;
         let mut enumerated: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
@@ -845,6 +885,9 @@ pub fn analyze_nest_with_budget(
                 }
             };
             record(component, Rule::Enumerated, witness);
+            if verdict_only && witness.is_some() {
+                break;
+            }
         }
         Ok::<u64, NestError>(max_words - budget)
     })?;
@@ -1166,35 +1209,81 @@ mod tests {
         assert!(NestError::Cancelled.to_string().contains("cancelled"));
     }
 
+    /// An analysis entry reduced to `Err` or the conflict-free bit.
+    type Entry = fn(&LoopNest, &Geometry, &NestBudget<'_>) -> Result<bool, NestError>;
+
+    /// The full analysis and the verdict-only one.
+    fn entries() -> [Entry; 2] {
+        [
+            |n, g, b| analyze_nest_with_budget(n, g, b).map(|a| a.verdict.is_conflict_free()),
+            is_conflict_free_with_budget,
+        ]
+    }
+
     #[test]
     fn fired_budget_cancels_a_symbolic_analysis() {
         use std::cell::{Cell, RefCell};
         // A nest the relational domain decides without enumerating: the
         // per-component poll alone must see the fired budget, and the
-        // interrupted `rules` phase must still close.
-        let polls = Cell::new(0u32);
-        let hook = || {
-            polls.set(polls.get() + 1);
-            true
-        };
-        let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
-        let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
-        let budget = NestBudget::with_cancel(&hook).with_observer(&obs);
-        let n = nest1("pow2-stride", 0, vec![t(4096, 8191)]);
-        assert_eq!(
-            analyze_nest_with_budget(&n, &pow2(8192, 8), &budget).err(),
-            Some(NestError::Cancelled)
-        );
-        assert_eq!(polls.get(), 1);
-        assert_eq!(
-            events.into_inner(),
-            vec![
-                ("lineset", true),
-                ("lineset", false),
-                ("rules", true),
-                ("rules", false),
-            ]
-        );
+        // interrupted `rules` phase must still close — in the full
+        // analysis and in the verdict-only one.
+        for entry in entries() {
+            let polls = Cell::new(0u32);
+            let hook = || {
+                polls.set(polls.get() + 1);
+                true
+            };
+            let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
+            let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
+            let budget = NestBudget::with_cancel(&hook).with_observer(&obs);
+            let n = nest1("pow2-stride", 0, vec![t(4096, 8191)]);
+            assert_eq!(
+                entry(&n, &pow2(8192, 8), &budget).err(),
+                Some(NestError::Cancelled)
+            );
+            assert_eq!(polls.get(), 1);
+            assert_eq!(
+                events.into_inner(),
+                vec![
+                    ("lineset", true),
+                    ("lineset", false),
+                    ("rules", true),
+                    ("rules", false),
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn verdict_only_agrees_with_the_full_analysis() {
+        use crate::battery::{self, BATTERY_NESTS, BATTERY_SEED};
+        use crate::nestsuite;
+        use crate::suite::EXPONENT;
+        let mut subjects: Vec<(LoopNest, Geometry)> = Vec::new();
+        for case in battery::cases(BATTERY_SEED, BATTERY_NESTS) {
+            subjects.push((case.nest.clone(), pow2(1 << case.exponent, case.line_words)));
+            subjects.push((case.nest, prime(case.exponent, case.line_words)));
+        }
+        for case in nestsuite::cases() {
+            subjects.push((case.nest.clone(), pow2(1 << EXPONENT, case.line_words)));
+            subjects.push((case.nest, prime(EXPONENT, case.line_words)));
+        }
+        // The nest that really enumerates.
+        subjects.push((odd_strides(24), prime(5, 8)));
+        let mut free = 0;
+        for (n, g) in &subjects {
+            let full = analyze_nest(n, g).map(|a| a.verdict.is_conflict_free());
+            let budget = NestBudget::default();
+            assert_eq!(
+                is_conflict_free_with_budget(n, g, &budget),
+                full,
+                "{} under {g}",
+                n.name
+            );
+            free += usize::from(full == Ok(true));
+        }
+        // Both answers are exercised.
+        assert!(free > 100 && subjects.len() - free > 100, "{free} free");
     }
 
     #[test]
@@ -1247,8 +1336,12 @@ mod tests {
     fn phase_observer_balances_even_when_cancelled() {
         use std::cell::{Cell, RefCell};
         // Cancel at the first poll (the component's symbolic decision,
-        // inside `rules`) and at the second (inside `enumerate`).
-        for (fire_at, cut) in [(1, "rules"), (2, "enumerate")] {
+        // inside `rules`) and at the second (inside `enumerate`), in
+        // both entries.
+        for ((fire_at, cut), entry) in [(1, "rules"), (2, "enumerate")]
+            .into_iter()
+            .flat_map(|fire| entries().map(|entry| (fire, entry)))
+        {
             let events: RefCell<Vec<(&'static str, bool)>> = RefCell::new(Vec::new());
             let obs = |phase: &'static str, begin: bool| events.borrow_mut().push((phase, begin));
             let polls = Cell::new(0);
@@ -1258,7 +1351,7 @@ mod tests {
             };
             let budget = NestBudget::with_cancel(&hook).with_observer(&obs);
             assert_eq!(
-                analyze_nest_with_budget(&odd_strides(24), &prime(5, 8), &budget).err(),
+                entry(&odd_strides(24), &prime(5, 8), &budget).err(),
                 Some(NestError::Cancelled)
             );
             let events = events.into_inner();

@@ -39,7 +39,9 @@ use std::sync::{Mutex, PoisonError};
 use serde::Serialize;
 use vcache_mersenne::MERSENNE_EXPONENTS;
 
-use crate::absint::{analyze_nest_with_budget, NestBudget, NestError, NestVerdict};
+use crate::absint::{
+    analyze_nest_with_budget, is_conflict_free_with_budget, Component, NestBudget, NestError,
+};
 use crate::conflict::Geometry;
 use crate::nest::LoopNest;
 use crate::prescribe::{pad_nest, Certificate, Fix};
@@ -195,45 +197,49 @@ impl Candidate {
     }
 }
 
-/// True when the nest is conflict-free under `geometry`; analysis
-/// failures count as "not free" so the plan skips the candidate —
-/// except cancellation, which aborts the whole plan.
+/// True when the nest is conflict-free under `geometry`, from the
+/// verdict-only analysis; analysis failures count as "not free" so the
+/// plan skips the candidate — except cancellation, which aborts the
+/// whole plan.
 fn is_free(
     nest: &LoopNest,
     geometry: &Geometry,
     budget: &NestBudget<'_>,
 ) -> Result<bool, NestError> {
-    match analyze_nest_with_budget(nest, geometry, budget) {
-        Ok(a) => Ok(a.verdict == NestVerdict::ConflictFree),
+    match is_conflict_free_with_budget(nest, geometry, budget) {
+        Ok(free) => Ok(free),
         Err(NestError::Cancelled) => Err(NestError::Cancelled),
         Err(_) => Ok(false),
     }
 }
 
-/// References implicated in any conflict of the analysis, in index
-/// order; if the analysis itself fails, every reference is a candidate.
-fn conflicting_refs(
+/// Triage of the original nest, from one full analysis: `None` when it
+/// is already conflict-free, otherwise the references implicated in any
+/// conflict, in index order. If the analysis itself fails (other than
+/// by cancellation), every reference is implicated.
+fn implicated_refs(
     nest: &LoopNest,
     geometry: &Geometry,
     budget: &NestBudget<'_>,
-) -> Result<Vec<usize>, NestError> {
+) -> Result<Option<Vec<usize>>, NestError> {
     match analyze_nest_with_budget(nest, geometry, budget) {
+        Ok(a) if a.verdict.is_conflict_free() => Ok(None),
         Ok(a) => {
             let mut v: Vec<usize> = a
                 .proofs
                 .iter()
                 .filter(|p| !p.free)
                 .flat_map(|p| match p.component {
-                    crate::absint::Component::Within { r } => vec![r],
-                    crate::absint::Component::Pair { a, b } => vec![a, b],
+                    Component::Within { r } => vec![r],
+                    Component::Pair { a, b } => vec![a, b],
                 })
                 .collect();
             v.sort_unstable();
             v.dedup();
-            Ok(v)
+            Ok(Some(v))
         }
         Err(NestError::Cancelled) => Err(NestError::Cancelled),
-        Err(_) => Ok((0..nest.refs.len()).collect()),
+        Err(_) => Ok(Some((0..nest.refs.len()).collect())),
     }
 }
 
@@ -486,10 +492,9 @@ pub fn plan_with_budget(
     weights: &CostWeights,
     budget: &NestBudget<'_>,
 ) -> Result<Option<Plan>, NestError> {
-    if is_free(nest, geometry, budget)? {
+    let Some(implicated) = implicated_refs(nest, geometry, budget)? else {
         return Ok(None);
-    }
-    let implicated = conflicting_refs(nest, geometry, budget)?;
+    };
     let cands = frontier(nest, geometry, max_pad, &implicated);
     let mut survivors = Vec::new();
     let mut analyzed = 0u64;
@@ -538,17 +543,9 @@ pub fn plan_parallel(
     observer: Option<CandidateObserver<'_>>,
 ) -> Result<Option<Plan>, NestError> {
     let poll = || cancelled.is_some_and(|c| c());
-    {
-        let hook: &dyn Fn() -> bool = &poll;
-        let budget = NestBudget::with_cancel(hook);
-        if is_free(nest, geometry, &budget)? {
-            return Ok(None);
-        }
-    }
-    let implicated = {
-        let hook: &dyn Fn() -> bool = &poll;
-        let budget = NestBudget::with_cancel(hook);
-        conflicting_refs(nest, geometry, &budget)?
+    let hook: &dyn Fn() -> bool = &poll;
+    let Some(implicated) = implicated_refs(nest, geometry, &NestBudget::with_cancel(hook))? else {
+        return Ok(None);
     };
     let cands = frontier(nest, geometry, max_pad, &implicated);
     let total = cands.len();
@@ -749,7 +746,7 @@ mod tests {
         // A nest whose analyses really enumerate (four odd strides
         // overflow the relational class split), so each polls per
         // component and per enumeration quantum. Let the base triage —
-        // two analyses — through, then fire partway into the frontier:
+        // one analysis — through, then fire partway into the frontier:
         // the plan must surface Cancelled, never a truncated ranking
         // presented as complete.
         let terms = [3, 5, 7, 9].map(|coeff| term(coeff, 24));
@@ -763,7 +760,7 @@ mod tests {
         let analysis =
             analyze_nest_with_budget(&nest, &geometry, &NestBudget::with_cancel(&count)).unwrap();
         assert!(analysis.enumerated_lines > 0);
-        let triage = 2 * polls.load(Ordering::Relaxed);
+        let triage = polls.load(Ordering::Relaxed);
         let calls = AtomicUsize::new(0);
         let hook = || calls.fetch_add(1, Ordering::Relaxed) >= triage + 2;
         let err = plan_with_budget(

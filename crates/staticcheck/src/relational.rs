@@ -40,12 +40,13 @@
 //!    grids among them) are closed exactly by, in order of cost: a
 //!    per-dimension modular sweep, a capped walk of the merged
 //!    *difference box* (never of the line footprint), a mixed solve that
-//!    enumerates the narrow dimensions and closes the widest one with a
-//!    modular solve per combination, a min/max dynamic program over
-//!    residues mod `S` — linear in the dimension widths where the walk
-//!    is exponential, and shared across every class pair with the same
-//!    dimension signature — and, where the DP cannot take the box, the
-//!    mixed solve again, capped only by the component's work budget.
+//!    enumerates the narrow dimensions and closes the widest one with one
+//!    modular multiply per combination (the congruence solved once per
+//!    call), a min/max dynamic program over residues mod `S` — O(S) per
+//!    merged dimension whatever its width, where the walk is exponential,
+//!    and shared across every class pair with the same dimension
+//!    signature — and, where the DP cannot take the box, the mixed solve
+//!    again, capped only by the component's work budget.
 //!
 //! Everything here is exact: a [`RelOutcome::Free`] means no two
 //! distinct lines of the component share a set, a
@@ -55,7 +56,7 @@
 //! (VC008 keeps those reasons string literals, so the fallback stays
 //! auditable).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use vcache_mersenne::numtheory::{gcd, mod_inverse, mod_mul};
 
@@ -467,9 +468,9 @@ impl PairDecider {
             }
         }
         // Last resort where the DP cannot take the box: the mixed solve
-        // capped only by the component budget. A modular solve costs an
-        // order of magnitude more than a DP update, so it never runs
-        // first.
+        // capped only by the component budget. The DP's tables serve
+        // every pair of the signature while the solve enumerates per
+        // pair, so the uncapped solve never runs first.
         self.dp_decide(d, sets, base_a, base_b, budget)
             .or_else(|| self.mixed_solve(d, sets, base_a, base_b, budget, u128::MAX))
             .unwrap_or(RelOutcome::NeedsEnumeration("wide-box-above-dp-budget"))
@@ -570,7 +571,8 @@ impl PairDecider {
 
     /// Exact decision when all but the widest merged dimension span a
     /// box of at most `cap` combinations: enumerate that box and close
-    /// the widest dimension with one modular solve per combination.
+    /// the widest dimension with one modular solve per combination — a
+    /// [`Congruence`] built once, so each solve is one multiply.
     /// Distinct `y` give distinct `x` (the stride is nonzero), so at
     /// most one congruence solution cancels to `x = 0` — checking the
     /// first two solutions in range settles each combination in O(1).
@@ -601,15 +603,22 @@ impl PairDecider {
         *budget -= small;
         let s = i128::from(sets);
         let wd = &self.merged[widest];
-        let others: Vec<usize> = (0..self.merged.len()).filter(|&k| k != widest).collect();
+        // The narrow dimensions with their strides mod S, odometer order.
+        let others: Vec<(usize, u64)> = (0..self.merged.len())
+            .filter(|&k| k != widest)
+            .map(|k| (k, self.merged[k].coeff % sets))
+            .collect();
         let mut ys: Vec<i128> = self.merged.iter().map(|md| md.lo).collect();
+        // The exact remainder `d + Σ coeff·y` over the narrow dimensions
+        // and `(−rem) mod S`, both updated as the odometer steps.
+        let mut rem: i128 = d + others
+            .iter()
+            .map(|&(k, _)| i128::from(self.merged[k].coeff) * ys[k])
+            .sum::<i128>();
+        let mut target = u64::try_from((-rem).rem_euclid(s)).unwrap_or(0);
+        let widest_solve = Congruence::new(wd.coeff, sets);
         loop {
-            let rem: i128 = d + others
-                .iter()
-                .map(|&k| i128::from(self.merged[k].coeff) * ys[k])
-                .sum::<i128>();
-            let target = u64::try_from((-rem).rem_euclid(s)).unwrap_or(0);
-            if let Some((k0, step)) = solve_congruence(wd.coeff % sets, target, sets) {
+            if let Some((k0, step)) = widest_solve.solve(target) {
                 let (k0, step) = (i128::from(k0), i128::from(step));
                 let y1 = wd.lo + (k0 - wd.lo).rem_euclid(step);
                 for y in [y1, y1 + step] {
@@ -629,12 +638,21 @@ impl PairDecider {
                     return Some(RelOutcome::Free(Rule::CosetSeparated));
                 }
                 pos -= 1;
-                let k = others[pos];
-                ys[k] += 1;
-                if ys[k] <= self.merged[k].hi {
+                let (k, c) = others[pos];
+                let md = &self.merged[k];
+                if ys[k] < md.hi {
+                    ys[k] += 1;
+                    rem += i128::from(md.coeff);
+                    target = if target >= c {
+                        target - c
+                    } else {
+                        target + (sets - c)
+                    };
                     break;
                 }
-                ys[k] = self.merged[k].lo;
+                rem -= i128::from(md.coeff) * (md.hi - md.lo);
+                ys[k] = md.lo;
+                target = u64::try_from((-rem).rem_euclid(s)).unwrap_or(0);
             }
         }
     }
@@ -733,10 +751,12 @@ impl PairDecider {
 /// Min/max dynamic program over residues modulo the set count, for one
 /// merged difference box: entry `r` holds the extreme achievable values
 /// of `Σ coeff·y` among combinations with `Σ coeff·y ≡ r (mod S)`.
-/// Build cost is `Σ range·S` table updates — linear in the dimension
-/// widths where the box walk is exponential — and one build serves
-/// every class pair sharing the dimension signature, because the base
-/// offset `d` only shifts which residue is queried.
+/// Each merged dimension folds in O(S) — independent of its width,
+/// where the box walk is exponential in the dimension count — and one
+/// build serves every class pair sharing the dimension signature,
+/// because the base offset `d` only shifts which residue is queried.
+/// Its budget charge is `Σ range·S`, the cost of folding range by
+/// range, which the caps and the solver order are set against.
 struct ResidueDp {
     /// `i128::MIN` = residue unreachable.
     max: Vec<i128>,
@@ -776,8 +796,78 @@ impl ResidueDp {
         (max, min)
     }
 
-    /// Folds one merged dimension into the tables.
+    /// Folds one merged dimension into the tables in O(S).
+    ///
+    /// Adding `C·y` (`C = coeff`) moves residue `r` to `r + c·y` for
+    /// `c = C mod S`, so the residues split into `gcd(c, S)` cycles
+    /// `r_j = k + j·c` of length `S / gcd(c, S)`. Along a cycle, with
+    /// `t = j − y` and `r_t` read cyclically,
+    /// `new[r_j] = C·j + ext_{t ∈ [j − hi, j − lo]} (prev[r_t] − C·t)`:
+    /// a sliding-window extreme ([`slide`]). Values of `y` congruent mod
+    /// the cycle length land on the same residue and `C > 0`, so only the
+    /// top cycle-length values of `y` can give a max and only the bottom
+    /// ones a min — no window is longer than its cycle.
     fn fold(prev: &(Vec<i128>, Vec<i128>), md: &MergedDim, sets: u64) -> (Vec<i128>, Vec<i128>) {
+        let s = prev.0.len();
+        let c = md.coeff % sets;
+        // c = 0 gives S cycles of one residue each.
+        let cycles = gcd(c, sets);
+        let period = i128::from(sets / cycles);
+        let (Ok(cycles), Ok(step)) = (usize::try_from(cycles), usize::try_from(c)) else {
+            return (vec![i128::MIN; s], vec![i128::MAX; s]);
+        };
+        let len = s / cycles;
+        let top = (md.lo.max(md.hi - (period - 1)), md.hi);
+        let bottom = (md.lo, md.hi.min(md.lo + (period - 1)));
+        // Where a pass starts on each cycle: `−yhi mod len`.
+        let first = |yhi: i128| usize::try_from((-yhi).rem_euclid(period)).unwrap_or(0);
+        let (top_first, bottom_first) = (first(top.1), first(bottom.1));
+        let coeff = i128::from(md.coeff);
+        let mut max = vec![i128::MIN; s];
+        let mut min = vec![i128::MAX; s];
+        let mut cycle = Vec::with_capacity(len);
+        let mut window = VecDeque::with_capacity(len + 1);
+        for k in 0..cycles {
+            cycle.clear();
+            let mut r = k;
+            for _ in 0..len {
+                cycle.push(r);
+                r += step;
+                if r >= s {
+                    r -= s;
+                }
+            }
+            slide::<true>(
+                &cycle,
+                &prev.0,
+                &mut max,
+                coeff,
+                top,
+                top_first,
+                &mut window,
+            );
+            slide::<false>(
+                &cycle,
+                &prev.1,
+                &mut min,
+                coeff,
+                bottom,
+                bottom_first,
+                &mut window,
+            );
+        }
+        (max, min)
+    }
+
+    /// The direct fold, one update per value of `y` and residue
+    /// (`Σ range·S`): the oracle the O(S) [`ResidueDp::fold`] is tested
+    /// against.
+    #[cfg(test)]
+    fn fold_by_range(
+        prev: &(Vec<i128>, Vec<i128>),
+        md: &MergedDim,
+        sets: u64,
+    ) -> (Vec<i128>, Vec<i128>) {
         let s = prev.0.len();
         let mut max = vec![i128::MIN; s];
         let mut min = vec![i128::MAX; s];
@@ -813,8 +903,9 @@ impl ResidueDp {
         use_max: bool,
     ) -> Option<Vec<i128>> {
         let s = usize::try_from(sets).ok()?;
+        // The tables before each dimension; the final ones are not needed.
         let mut levels = vec![Self::start(s)];
-        for md in merged {
+        for md in &merged[..merged.len().saturating_sub(1)] {
             let next = Self::fold(levels.last()?, md, sets);
             levels.push(next);
         }
@@ -850,6 +941,61 @@ impl ResidueDp {
     }
 }
 
+/// One sliding-window pass of [`ResidueDp::fold`] along the residue
+/// cycle `cycle`: for every `j`, `out[cycle[j]]` becomes
+/// `C·j + ext_{t ∈ [j − yhi, j − ylo]} f(t)` with
+/// `f(t) = prev[cycle[t mod len]] − C·t`, the extreme being the max
+/// when `MAX` and the min otherwise. `first` is `−yhi mod len`, the
+/// same on every cycle of one fold. `window` is a monotone deque of
+/// `(t, f(t))`: each `t` enters and leaves at most once, so the pass
+/// is linear in the cycle length plus the window length. Unreachable
+/// residues (`i128::MIN` in a max table, `i128::MAX` in a min table)
+/// never enter it, and a residue with no reachable source stays
+/// unreachable.
+fn slide<const MAX: bool>(
+    cycle: &[usize],
+    prev: &[i128],
+    out: &mut [i128],
+    coeff: i128,
+    (ylo, yhi): (i128, i128),
+    first: usize,
+    window: &mut VecDeque<(i128, i128)>,
+) {
+    let unreachable = if MAX { i128::MIN } else { i128::MAX };
+    window.clear();
+    let mut t = -yhi;
+    // `t mod len` as an index, stepped alongside `t`.
+    let mut at = first;
+    for (j, &rj) in (0i128..).zip(cycle) {
+        while t <= j - ylo {
+            let v = prev[cycle[at]];
+            if v != unreachable {
+                let f = v - coeff * t;
+                // Every entry `f` ties or beats leaves the window no
+                // later than `f` does, so it can never be the extreme.
+                while window
+                    .back()
+                    .is_some_and(|&(_, b)| if MAX { b <= f } else { b >= f })
+                {
+                    window.pop_back();
+                }
+                window.push_back((t, f));
+            }
+            t += 1;
+            at += 1;
+            if at == cycle.len() {
+                at = 0;
+            }
+        }
+        while window.front().is_some_and(|&(front, _)| front < j - yhi) {
+            window.pop_front();
+        }
+        if let Some(&(_, f)) = window.front() {
+            out[rj] = coeff * j + f;
+        }
+    }
+}
+
 /// `coeff·y mod sets` as a table index.
 fn residue(coeff: u64, y: i128, sets: u64) -> usize {
     let r = (i128::from(coeff % sets) * y).rem_euclid(i128::from(sets));
@@ -865,7 +1011,9 @@ fn has_nonzero_multiple(lo: i128, hi: i128, s: u64) -> bool {
 }
 
 /// Solves `a·k ≡ b (mod m)`: the smallest solution and the solution
-/// stride, or `None` when unsolvable. `m ≥ 2`.
+/// stride, or `None` when unsolvable. `m ≥ 2`. The direct solve, gcd
+/// and inverse per call: the oracle [`Congruence`] is tested against.
+#[cfg(test)]
 fn solve_congruence(a: u64, b: u64, m: u64) -> Option<(u64, u64)> {
     let a = a % m;
     let b = b % m;
@@ -882,6 +1030,48 @@ fn solve_congruence(a: u64, b: u64, m: u64) -> Option<(u64, u64)> {
     }
     let inv = mod_inverse((a / g) % m1, m1)?;
     Some((mod_mul((b / g) % m1, inv, m1), m1))
+}
+
+/// `a·k ≡ b (mod m)` for one fixed `a` and `m` and many `b`: the gcd
+/// and the inverse are computed once, so each [`Congruence::solve`]
+/// costs one modular multiply.
+struct Congruence {
+    /// `gcd(a mod m, m)` (`m` itself when `a ≡ 0`): `b` must be a
+    /// multiple of it.
+    g: u64,
+    /// `m / g`, the solution stride.
+    m1: u64,
+    /// The inverse of `a/g` modulo `m1`; `None` only if the inverse
+    /// does not exist, when no `b` is solved.
+    inv: Option<u64>,
+}
+
+impl Congruence {
+    /// Precomputes the solve of `a·k ≡ · (mod m)`. `m ≥ 2`.
+    fn new(a: u64, m: u64) -> Self {
+        let a = a % m;
+        let g = gcd(a, m);
+        let m1 = m / g;
+        let inv = if m1 == 1 {
+            Some(0)
+        } else {
+            mod_inverse((a / g) % m1, m1)
+        };
+        Self { g, m1, inv }
+    }
+
+    /// The smallest solution of `a·k ≡ b (mod m)` and the solution
+    /// stride, or `None` when unsolvable. `b < m`.
+    fn solve(&self, b: u64) -> Option<(u64, u64)> {
+        if !b.is_multiple_of(self.g) {
+            return None;
+        }
+        let inv = self.inv?;
+        if self.m1 == 1 {
+            return Some((0, 1));
+        }
+        Some((mod_mul(b / self.g, inv, self.m1), self.m1))
+    }
 }
 
 /// Conflict search varying one dimension at a time (all other index
@@ -903,7 +1093,7 @@ fn single_dim_conflict(
         } else {
             u64::try_from((-d).rem_euclid(s)).ok()?
         };
-        let Some((k0, step)) = solve_congruence(it.coeff % sets, target, sets) else {
+        let Some((k0, step)) = Congruence::new(it.coeff, sets).solve(target) else {
             continue;
         };
         for k in (k0..=it.width.min(k0.saturating_add(2 * step))).step_by(step.max(1) as usize) {
@@ -1236,5 +1426,104 @@ mod tests {
             decide_pair(&a, &b, &g),
             RelOutcome::Conflict(_, 0, 32)
         ));
+    }
+
+    /// A seeded xorshift64* stream: `next(bound)` is in `[0, bound)`.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |bound| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        }
+    }
+
+    #[test]
+    fn cycle_fold_equals_range_fold() {
+        let mut next = rng(0x0F01_D5EE);
+        for sets in [31u64, 32, 127, 8191, 8192] {
+            let s = usize::try_from(sets).unwrap();
+            for case in 0..24u64 {
+                let coeff = match case % 4 {
+                    // c ≡ 0 (mod S): one cycle per residue.
+                    0 => sets * (1 + next(3)),
+                    // A stride sharing a power of two with S (cycles of
+                    // 2..16 residues when S is a power of two).
+                    1 => (sets / (2 << next(4))).max(1) * (1 + 2 * next(8)),
+                    _ => 1 + next(3 * sets),
+                };
+                // Widths up to 60 (past every short cycle), with lo of
+                // either sign.
+                let lo = i128::from(next(40)) - 30;
+                let md = MergedDim {
+                    coeff,
+                    lo,
+                    hi: lo + i128::from(next(60)),
+                };
+                // The start tables (one reachable residue) or random
+                // tables with about a quarter of the residues unreachable.
+                let prev = if case % 3 == 0 {
+                    ResidueDp::start(s)
+                } else {
+                    (0..s)
+                        .map(|_| {
+                            if next(4) == 0 {
+                                return (i128::MIN, i128::MAX);
+                            }
+                            let max = i128::from(next(1 << 40)) - (1 << 39);
+                            (max, max - i128::from(next(1 << 20)))
+                        })
+                        .unzip()
+                };
+                let what = format!("S={sets} coeff={coeff} y∈[{}, {}]", md.lo, md.hi);
+                let once = ResidueDp::fold(&prev, &md, sets);
+                assert_eq!(once, ResidueDp::fold_by_range(&prev, &md, sets), "{what}");
+                // Fold again over the first fold's output.
+                assert_eq!(
+                    ResidueDp::fold(&once, &md, sets),
+                    ResidueDp::fold_by_range(&once, &md, sets),
+                    "{what}, twice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_congruence_equals_solve_congruence() {
+        for m in 1..=64u64 {
+            for a in 0..m {
+                let hoisted = Congruence::new(a, m);
+                for b in 0..m {
+                    assert_eq!(
+                        hoisted.solve(b),
+                        solve_congruence(a, b, m),
+                        "{a}·k ≡ {b} (mod {m})"
+                    );
+                }
+            }
+        }
+        // Large moduli, built around a common factor so gcd(a, m) > 1
+        // and solvable right-hand sides are frequent.
+        let mut next = rng(0xC0_4E5);
+        for _ in 0..4000 {
+            let g = 1 + next(1 << 12);
+            let m = g * (2 + next(1 << 30));
+            let a = if next(2) == 0 {
+                g * next(m / g)
+            } else {
+                next(m)
+            };
+            let b = if next(2) == 0 {
+                g * next(m / g)
+            } else {
+                next(m)
+            };
+            assert_eq!(
+                Congruence::new(a, m).solve(b),
+                solve_congruence(a, b, m),
+                "{a}·k ≡ {b} (mod {m})"
+            );
+        }
     }
 }

@@ -96,6 +96,23 @@ timeout --kill-after=10 300 bash -c '
     }
 '
 
+# Analyzer answers gate: perfbench's first `check` pass always runs to
+# completion and must reproduce the pinned seed-1992 digest over
+# verdicts, plan counts and best repairs, so a faster solver that
+# changes any answer fails here. The result line is the last on stdout.
+echo "==> perfbench check digest  (timeout 900s)"
+timeout --kill-after=10 900 bash -c '
+    set -euo pipefail
+    line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload check --seed 1992 --seconds 1 --trace 0 | tail -n 1)
+    if ! echo "$line" | grep -q "\"correct\": true" \
+        || ! echo "$line" | grep -Eq "\"failed\": 0[,}]"; then
+        echo "perfbench check is not correct or failed operations:"
+        echo "$line" | cut -c1-200
+        exit 1
+    fi
+'
+
 # Trace-overhead budget: instrumented analysis must stay within 1.5x of
 # the untraced fast path (and the phase observer must fire per phase,
 # never per enumeration step).
