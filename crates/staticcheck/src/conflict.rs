@@ -24,7 +24,6 @@
 //! the footprint also fits capacity — see
 //! [`ProgramAnalysis::exceeds_capacity`]).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use serde::Serialize;
@@ -305,16 +304,9 @@ fn orbit_and_conflicts(geometry: &Geometry, g_abs: u64, d: u64) -> (u64, u64) {
 
 fn analyze_access(access: &VectorAccess, geometry: &Geometry) -> AccessAnalysis {
     let line_words = geometry.line_words();
-    let mut per_set: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    let mut lines: BTreeSet<u64> = BTreeSet::new();
-    for word in access.words() {
-        let line = word / line_words;
-        lines.insert(line);
-        per_set
-            .entry(geometry.set_of_line(line))
-            .or_default()
-            .insert(line);
-    }
+    let mut lines: Vec<u64> = access.words().map(|word| word / line_words).collect();
+    lines.sort_unstable();
+    lines.dedup();
     let distinct = lines.len() as u64;
     let aligned = access.stride.unsigned_abs().is_multiple_of(line_words);
     let orbit = if aligned {
@@ -323,7 +315,17 @@ fn analyze_access(access: &VectorAccess, geometry: &Geometry) -> AccessAnalysis 
     } else {
         None
     };
-    let within = per_set.values().filter(|l| l.len() >= 2).count() as u64;
+    // The distinct lines become their sets; a run of ≥ 2 equal sets is a
+    // set holding ≥ 2 distinct lines of this access.
+    let mut sets = lines;
+    for line in &mut sets {
+        *line = geometry.set_of_line(*line);
+    }
+    sets.sort_unstable();
+    let within = sets
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() >= 2)
+        .count() as u64;
     AccessAnalysis {
         stream: access.stream,
         base: access.base,
@@ -351,42 +353,31 @@ pub fn analyze_program(
     }
 
     let line_words = geometry.line_words();
-    // Global footprint: line -> streams touching it.
-    let mut streams_of_line: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
-    for access in &program.accesses {
-        for word in access.words() {
-            streams_of_line
-                .entry(word / line_words)
-                .or_default()
-                .insert(access.stream);
+    // The footprint's distinct (line, stream) pairs, keyed by set: sorted
+    // as (set, stream, line), each set is one run, its streams are runs
+    // within it, and no triple repeats.
+    let footprint = program.footprint(line_words);
+    let mut distinct_lines = 0u64;
+    let mut by_set: Vec<(u64, u32, u64)> = Vec::with_capacity(footprint.len());
+    for (i, &(line, stream)) in footprint.iter().enumerate() {
+        if i == 0 || footprint[i - 1].0 != line {
+            distinct_lines += 1;
+        }
+        by_set.push((geometry.set_of_line(line), stream, line));
+    }
+    by_set.sort_unstable();
+
+    let (mut self_conflict_sets, mut cross_conflict_sets) = (0u64, 0u64);
+    for set in by_set.chunk_by(|a, b| a.0 == b.0) {
+        let (_, stream, line) = set[0];
+        // A stream with two triples in one set has two distinct lines there.
+        if set.windows(2).any(|pair| pair[0].1 == pair[1].1) {
+            self_conflict_sets += 1;
+        }
+        if set.iter().any(|t| t.2 != line) && set.iter().any(|t| t.1 != stream) {
+            cross_conflict_sets += 1;
         }
     }
-
-    // Per-set aggregation: distinct lines per stream and the stream union.
-    #[derive(Default)]
-    struct SetInfo {
-        lines_per_stream: BTreeMap<u32, u64>,
-        distinct_lines: u64,
-        streams: BTreeSet<u32>,
-    }
-    let mut per_set: BTreeMap<u64, SetInfo> = BTreeMap::new();
-    for (&line, streams) in &streams_of_line {
-        let info = per_set.entry(geometry.set_of_line(line)).or_default();
-        info.distinct_lines += 1;
-        for &s in streams {
-            *info.lines_per_stream.entry(s).or_default() += 1;
-            info.streams.insert(s);
-        }
-    }
-
-    let self_conflict_sets = per_set
-        .values()
-        .filter(|i| i.lines_per_stream.values().any(|&n| n >= 2))
-        .count() as u64;
-    let cross_conflict_sets = per_set
-        .values()
-        .filter(|i| i.distinct_lines >= 2 && i.streams.len() >= 2)
-        .count() as u64;
 
     let accesses: Vec<AccessAnalysis> = program
         .accesses
@@ -413,7 +404,6 @@ pub fn analyze_program(
         Verdict::ConflictFree
     };
 
-    let distinct_lines = streams_of_line.len() as u64;
     Ok(ProgramAnalysis {
         program: program.name.clone(),
         geometry: geometry.kind(),
@@ -430,11 +420,188 @@ pub fn analyze_program(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use vcache_workloads::VectorAccess;
 
     fn prog(accesses: Vec<VectorAccess>) -> Program {
         Program::new("t", accesses)
+    }
+
+    /// The reference the sorted-footprint analysis is checked against:
+    /// ordered trees with one node per line, per stream and per set.
+    fn reference_analyze_access(access: &VectorAccess, geometry: &Geometry) -> AccessAnalysis {
+        let line_words = geometry.line_words();
+        let mut per_set: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+        let mut lines: BTreeSet<u64> = BTreeSet::new();
+        for word in access.words() {
+            let line = word / line_words;
+            lines.insert(line);
+            per_set
+                .entry(geometry.set_of_line(line))
+                .or_default()
+                .insert(line);
+        }
+        let distinct = lines.len() as u64;
+        let aligned = access.stride.unsigned_abs().is_multiple_of(line_words);
+        let orbit = if aligned {
+            let g_abs = access.stride.unsigned_abs() / line_words;
+            Some(orbit_and_conflicts(geometry, g_abs, distinct).0)
+        } else {
+            None
+        };
+        let within = per_set.values().filter(|l| l.len() >= 2).count() as u64;
+        AccessAnalysis {
+            stream: access.stream,
+            base: access.base,
+            stride: access.stride,
+            length: access.length,
+            distinct_lines: distinct,
+            orbit,
+            within_conflict_sets: within,
+        }
+    }
+
+    /// [`analyze_program`] by ordered trees, without the size guard.
+    fn reference_analyze_program(program: &Program, geometry: &Geometry) -> ProgramAnalysis {
+        #[derive(Default)]
+        struct SetInfo {
+            lines_per_stream: BTreeMap<u32, u64>,
+            distinct_lines: u64,
+            streams: BTreeSet<u32>,
+        }
+        let line_words = geometry.line_words();
+        let mut streams_of_line: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+        for access in &program.accesses {
+            for word in access.words() {
+                streams_of_line
+                    .entry(word / line_words)
+                    .or_default()
+                    .insert(access.stream);
+            }
+        }
+        let mut per_set: BTreeMap<u64, SetInfo> = BTreeMap::new();
+        for (&line, streams) in &streams_of_line {
+            let info = per_set.entry(geometry.set_of_line(line)).or_default();
+            info.distinct_lines += 1;
+            for &s in streams {
+                *info.lines_per_stream.entry(s).or_default() += 1;
+                info.streams.insert(s);
+            }
+        }
+        let self_conflict_sets = per_set
+            .values()
+            .filter(|i| i.lines_per_stream.values().any(|&n| n >= 2))
+            .count() as u64;
+        let cross_conflict_sets = per_set
+            .values()
+            .filter(|i| i.distinct_lines >= 2 && i.streams.len() >= 2)
+            .count() as u64;
+        let accesses: Vec<AccessAnalysis> = program
+            .accesses
+            .iter()
+            .map(|a| reference_analyze_access(a, geometry))
+            .collect();
+        let verdict = if self_conflict_sets > 0 {
+            let orbit = accesses
+                .iter()
+                .filter(|a| a.within_conflict_sets > 0)
+                .filter_map(|a| a.orbit)
+                .min()
+                .unwrap_or(0);
+            Verdict::SelfInterfering {
+                orbit,
+                predicted_conflict_sets: self_conflict_sets,
+            }
+        } else if cross_conflict_sets > 0 {
+            Verdict::CrossInterfering {
+                predicted_conflict_sets: cross_conflict_sets,
+            }
+        } else {
+            Verdict::ConflictFree
+        };
+        let distinct_lines = streams_of_line.len() as u64;
+        ProgramAnalysis {
+            program: program.name.clone(),
+            geometry: geometry.kind(),
+            sets: geometry.sets(),
+            line_words,
+            verdict,
+            distinct_lines,
+            exceeds_capacity: distinct_lines > geometry.sets(),
+            self_conflict_sets,
+            cross_conflict_sets,
+            accesses,
+        }
+    }
+
+    /// A random program of 1–4 accesses over streams 0–3: strides that
+    /// are zero, negative, line-aligned or set-resonant, bases aliased by
+    /// multiples of `sets · line_words`, and verbatim repeats of earlier
+    /// accesses.
+    fn random_program(rng: &mut StdRng, sets: u64, line_words: u64) -> Program {
+        let wrap = sets * line_words;
+        let mut accesses: Vec<VectorAccess> = Vec::new();
+        for _ in 0..rng.random_range(1..=4usize) {
+            if !accesses.is_empty() && rng.random_range(0..4u32) == 0 {
+                let again = accesses[rng.random_range(0..accesses.len())];
+                accesses.push(again);
+                continue;
+            }
+            let length = rng.random_range(1..=96u64);
+            let stride = match rng.random_range(0..6u32) {
+                0 => 0,
+                1 => rng.random_range(-9..=9i64),
+                2 => rng.random_range(-4..=4i64) * line_words as i64,
+                3 => rng.random_range(-2..=2i64) * wrap as i64,
+                4 => rng.random_range(-2..=2i64) * (wrap / 2) as i64,
+                _ => rng.random_range(-300..=300i64),
+            };
+            // From 2^40, far enough that no negative stride wraps below 0.
+            let base =
+                (1 << 40) + rng.random_range(0..4u64) * wrap + rng.random_range(0..3 * line_words);
+            accesses.push(VectorAccess::single(
+                base,
+                stride,
+                length,
+                rng.random_range(0..4u32),
+            ));
+        }
+        prog(accesses)
+    }
+
+    #[test]
+    fn sorted_footprint_analysis_equals_the_ordered_tree_reference() {
+        let mut rng = StdRng::seed_from_u64(0x0F00_7921);
+        let mut verdicts: BTreeMap<&str, usize> = BTreeMap::new();
+        for line_words in [1, 2, 8] {
+            let geometries = [
+                Geometry::pow2(64, line_words).unwrap(),
+                Geometry::pow2(8192, line_words).unwrap(),
+                Geometry::prime(5, line_words).unwrap(),
+                Geometry::prime(13, line_words).unwrap(),
+            ];
+            for geometry in geometries {
+                for _ in 0..60 {
+                    let program = random_program(&mut rng, geometry.sets(), line_words);
+                    let fast = analyze_program(&program, &geometry).unwrap();
+                    let reference = reference_analyze_program(&program, &geometry);
+                    assert_eq!(
+                        serde_json::to_string(&fast).unwrap(),
+                        serde_json::to_string(&reference).unwrap(),
+                        "{geometry}: {program:?}"
+                    );
+                    *verdicts.entry(fast.verdict.label()).or_default() += 1;
+                }
+            }
+        }
+        // The population reaches every verdict.
+        assert_eq!(verdicts.len(), 3, "{verdicts:?}");
+        assert!(verdicts.values().all(|&n| n >= 50), "{verdicts:?}");
     }
 
     #[test]
@@ -612,6 +779,14 @@ mod tests {
             analyze_program(&huge, &g),
             Err(AnalysisError::ProgramTooLarge { .. })
         ));
+        // Lengths whose sum wraps u64 (to 0 and to 1) are still too large.
+        for lengths in [[1 << 63, 1 << 63], [u64::MAX, 2]] {
+            let wrapping = prog(lengths.map(|n| VectorAccess::single(0, 1, n, 0)).to_vec());
+            assert_eq!(
+                analyze_program(&wrapping, &g),
+                Err(AnalysisError::ProgramTooLarge { words: u64::MAX })
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! falls inside the envelope. Any word-set mismatch, containment
 //! violation, or verdict drift is a `VC103` finding.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 use serde::Serialize;
 use vcache_core::blocking::SubBlockPlan;
@@ -159,9 +159,28 @@ fn matches_workload(expect: WorkloadExpect, verdict: NestVerdict, non_affine: bo
     }
 }
 
-/// Per-stream word set of a program.
-fn word_set(program: &Program) -> BTreeSet<(u64, u32)> {
-    program.words().collect()
+/// Entries only in `a` and only in `b`, by one merge walk over two sorted,
+/// deduplicated slices.
+fn differences<T: Ord>(a: &[T], b: &[T]) -> (usize, usize) {
+    let (mut i, mut j) = (0, 0);
+    let (mut only_a, mut only_b) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                only_a += 1;
+                i += 1;
+            }
+            Ordering::Greater => {
+                only_b += 1;
+                j += 1;
+            }
+            Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (only_a + a.len() - i, only_b + b.len() - j)
 }
 
 /// Validates the lowering against the trace. Returns `None` when the
@@ -174,15 +193,14 @@ fn validate_lowering(case: &WorkloadCase) -> Option<String> {
             case.name
         ));
     };
-    let traced = word_set(&case.trace);
+    let traced = case.trace.footprint(1);
     match &case.lowering {
         Lowering::Exact(_) => {
-            let low = word_set(&lowered);
+            let low = lowered.footprint(1);
             if low == traced {
                 None
             } else {
-                let missing = traced.difference(&low).count();
-                let extra = low.difference(&traced).count();
+                let (missing, extra) = differences(&traced, &low);
                 Some(format!(
                     "lowering word set diverges from the trace: {missing} traced \
                      (word, stream) pairs missing from the nest, {extra} extra"
@@ -194,11 +212,13 @@ fn validate_lowering(case: &WorkloadCase) -> Option<String> {
                 return Some("non-affine exclusion carries no reason".into());
             }
             // Containment: the envelope ignores streams (it bounds the
-            // footprint, not the stream structure).
-            let envelope_words: BTreeSet<u64> = lowered.words().map(|(w, _)| w).collect();
+            // footprint, not the stream structure). The footprints sort by
+            // word, so a word's pairs are adjacent.
+            let mut envelope: Vec<u64> = lowered.footprint(1).iter().map(|&(w, _)| w).collect();
+            envelope.dedup();
             let escapees = traced
-                .iter()
-                .filter(|(w, _)| !envelope_words.contains(w))
+                .chunk_by(|a, b| a.0 == b.0)
+                .filter(|pairs| envelope.binary_search(&pairs[0].0).is_err())
                 .count();
             if escapees == 0 {
                 None
@@ -684,7 +704,45 @@ pub fn run() -> (Vec<WorkloadSuiteResult>, Vec<Finding>) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+
+    /// The reference the sorted footprints are checked against: an
+    /// ordered tree with one node per `(word, stream)` pair.
+    fn word_set(program: &Program) -> BTreeSet<(u64, u32)> {
+        program.words().collect()
+    }
+
+    #[test]
+    fn footprints_and_their_differences_equal_the_ordered_word_sets() {
+        // Each trace and lowering, and the merge walk between it and the
+        // program before it in the table: an exact lowering against its
+        // own trace, and a trace against an unrelated lowering, which
+        // differ in both directions.
+        type Pair = (u64, u32);
+        let mut previous: Option<(Vec<Pair>, BTreeSet<Pair>)> = None;
+        for case in cases() {
+            let lowered = case.lowering.nest().to_program(WORKSET_CAP).unwrap();
+            for program in [&case.trace, &lowered] {
+                let footprint = program.footprint(1);
+                let reference = word_set(program);
+                assert!(footprint.iter().eq(&reference), "{}", case.name);
+                if let Some((before, before_set)) = &previous {
+                    assert_eq!(
+                        differences(before, &footprint),
+                        (
+                            before_set.difference(&reference).count(),
+                            reference.difference(before_set).count()
+                        ),
+                        "{}",
+                        case.name
+                    );
+                }
+                previous = Some((footprint, reference));
+            }
+        }
+    }
 
     #[test]
     fn canonical_workload_suite_is_green() {
@@ -796,16 +854,26 @@ mod tests {
             expect_prime: WorkloadExpect::Free,
         };
         let failure = validate_lowering(&case).unwrap();
-        assert!(failure.contains("1 traced"), "{failure}");
+        assert!(
+            failure.ends_with("1 traced (word, stream) pairs missing from the nest, 0 extra"),
+            "{failure}"
+        );
     }
 
     #[test]
     fn envelope_escape_is_detected() {
+        // Word 100 is read by two streams but is one escaping word; word 0
+        // lies inside the envelope.
         let case = WorkloadCase {
             name: "escapee",
             trace: Program::new(
                 "escapee",
-                vec![vcache_workloads::VectorAccess::single(100, 1, 1, 0)],
+                vec![
+                    vcache_workloads::VectorAccess::single(100, 1, 1, 0),
+                    vcache_workloads::VectorAccess::single(100, 1, 1, 1),
+                    vcache_workloads::VectorAccess::single(0, 1, 1, 1),
+                    vcache_workloads::VectorAccess::single(101, 1, 1, 1),
+                ],
             ),
             lowering: Lowering::NonAffine {
                 reason: "test".into(),
@@ -824,6 +892,9 @@ mod tests {
             },
         };
         let failure = validate_lowering(&case).unwrap();
-        assert!(failure.contains("escape"), "{failure}");
+        assert_eq!(
+            failure,
+            "2 traced words escape the declared non-affine envelope"
+        );
     }
 }

@@ -81,10 +81,12 @@ impl Program {
         }
     }
 
-    /// Total elements across all accesses.
+    /// Total elements across all accesses, saturating at `u64::MAX`.
     #[must_use]
     pub fn total_elements(&self) -> u64 {
-        self.accesses.iter().map(|a| a.length).sum()
+        self.accesses
+            .iter()
+            .fold(0u64, |acc, a| acc.saturating_add(a.length))
     }
 
     /// All words touched, flattened in issue order (pairing ignored).
@@ -92,6 +94,30 @@ impl Program {
         self.accesses
             .iter()
             .flat_map(|a| a.words().map(move |w| (w, a.stream)))
+    }
+
+    /// The program's footprint in units of `unit` words: the sorted,
+    /// deduplicated `(word / unit, stream)` pairs it touches (`unit` 1
+    /// gives word addresses, a line size gives lines). Each distinct
+    /// `(stream, base, stride, length)` access is expanded once, however
+    /// often the program repeats it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is zero.
+    #[must_use]
+    pub fn footprint(&self, unit: u64) -> Vec<(u64, u32)> {
+        let key = |a: &&VectorAccess| (a.stream, a.base, a.stride, a.length);
+        let mut distinct: Vec<&VectorAccess> = self.accesses.iter().collect();
+        distinct.sort_unstable_by_key(key);
+        distinct.dedup_by_key(|a| key(a));
+        let mut pairs: Vec<(u64, u32)> = distinct
+            .iter()
+            .flat_map(|a| a.words().map(move |w| (w / unit, a.stream)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 }
 
@@ -103,6 +129,8 @@ impl Extend<VectorAccess> for Program {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -125,6 +153,33 @@ mod tests {
         assert_eq!(p.total_elements(), 5);
         let words: Vec<_> = p.words().collect();
         assert_eq!(words, vec![(0, 0), (1, 0), (2, 0), (10, 1), (12, 1)]);
+    }
+
+    #[test]
+    fn footprint_is_the_sorted_distinct_pairs_per_unit() {
+        // A repeat, and accesses that each differ from `a` in one field of
+        // the dedup key, in both orders: a prefix of `a`, then base, stride
+        // and stream.
+        let a = VectorAccess::single(12, 1, 4, 0);
+        let mut accesses = vec![
+            VectorAccess::single(12, 1, 2, 0),
+            a,
+            a,
+            VectorAccess::single(20, 1, 4, 0),
+            VectorAccess::single(12, -3, 4, 0),
+            VectorAccess::single(12, 1, 4, 1),
+            VectorAccess::single(12, 0, 4, 1),
+        ];
+        for _ in 0..2 {
+            let p = Program::new("t", accesses.clone());
+            for unit in [1, 4] {
+                let reference: BTreeSet<(u64, u32)> =
+                    p.words().map(|(w, s)| (w / unit, s)).collect();
+                assert!(p.footprint(unit).iter().eq(&reference), "unit {unit}");
+            }
+            accesses.reverse();
+        }
+        assert!(Program::new("empty", vec![]).footprint(8).is_empty());
     }
 
     #[test]
