@@ -1,17 +1,16 @@
-//! Differential test of [`CacheSim`] against the simulator it replaced.
+//! Differential test of [`CacheSim`] against a naive reference model.
 //!
-//! The oracle below is the earlier `CacheSim` and `ShadowCache`, unchanged
-//! but for what moving them out of the crate takes: counters are bumped
-//! through `CacheStats`' public fields, and the replacement choice that
-//! was `ReplacementPolicy::victim` is a free function. It stores each set
-//! as a `Vec` of entries, sorts the set by its stamps on every miss into a
-//! full set, and classifies misses with SipHash maps and a lazily
-//! compacted queue: slow, but simple enough to read as the specification.
-//! The flat simulator must return the same `AccessResult` on every access
-//! and the same `CacheStats` at the end. The oracle is temporary: ROADMAP
-//! tracks its deletion.
+//! The model keeps each set as a `Vec` of resident lines, finds a line by
+//! a linear scan, and picks a full set's victim by its stamps: LRU the
+//! oldest use, FIFO the oldest fill, and Random the line at the drawn
+//! rank of use, drawn from the same seeded generator as the simulator's.
+//! Misses are classified against a fully-associative LRU shadow of the
+//! cache's capacity: a line the shadow still holds missed by conflict,
+//! one it has seen missed by capacity, any other is compulsory. The flat
+//! simulator must return the same `AccessResult` on every access, hold
+//! the same lines, and end with the same `CacheStats`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,119 +20,28 @@ use vcache_cache::{
     Pow2Mapper, PrimeMapper, ReplacementPolicy, StreamId, WordAddr,
 };
 
-/// Outcome of consulting the shadow for one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShadowVerdict {
-    /// Shadow holds the line.
-    Hit,
-    /// Line seen before but evicted by capacity in the shadow too.
-    CapacityMiss,
-    /// First-ever touch.
-    ColdMiss,
-}
-
-/// A fully-associative LRU cache tracking only presence, used as the
-/// classification reference.
-#[derive(Debug, Clone)]
-struct ShadowCache {
-    capacity: usize,
-    // LRU queue of (line, touch generation); front = least recent. Entries
-    // whose generation no longer matches `resident` are stale duplicates
-    // left behind by re-touches and are discarded lazily.
-    queue: VecDeque<(LineAddr, u64)>,
-    resident: HashMap<LineAddr, u64>, // line -> generation of its latest touch
-    ever_seen: HashSet<LineAddr>,
-    generation: u64,
-}
-
-impl ShadowCache {
-    fn new(capacity: u64) -> Self {
-        assert!(capacity > 0, "shadow cache capacity must be positive");
-        Self {
-            capacity: capacity as usize,
-            queue: VecDeque::new(),
-            resident: HashMap::new(),
-            ever_seen: HashSet::new(),
-            generation: 0,
-        }
-    }
-
-    /// Touches `line`; returns the verdict *before* installing it.
-    fn touch(&mut self, line: LineAddr) -> ShadowVerdict {
-        self.generation += 1;
-        let verdict = if self.resident.contains_key(&line) {
-            ShadowVerdict::Hit
-        } else if self.ever_seen.contains(&line) {
-            ShadowVerdict::CapacityMiss
-        } else {
-            ShadowVerdict::ColdMiss
-        };
-        self.ever_seen.insert(line);
-        self.resident.insert(line, self.generation);
-        self.queue.push_back((line, self.generation));
-        self.evict_lru();
-        verdict
-    }
-
-    /// Enforces capacity, discarding stale queue entries along the way.
-    fn evict_lru(&mut self) {
-        while self.resident.len() > self.capacity {
-            // resident ⊆ queue, so the queue cannot drain first; if it
-            // somehow did, stopping (cache temporarily over capacity) is
-            // strictly safer than aborting the simulation.
-            let Some((line, gen)) = self.queue.pop_front() else {
-                break;
-            };
-            if self.resident.get(&line) == Some(&gen) {
-                self.resident.remove(&line);
-            }
-            // else: stale entry for a line re-touched later; skip it.
-        }
-        // Hit-heavy workloads accumulate stale entries without triggering
-        // pops; compact when the queue is mostly garbage so memory stays
-        // proportional to capacity, not trace length.
-        if self.queue.len() > self.capacity.saturating_mul(2) + 16 {
-            let resident = &self.resident;
-            self.queue.retain(|(l, g)| resident.get(l) == Some(g));
-        }
-    }
-}
-
-/// Picks the victim way among `ways` occupied entries.
-///
-/// `use_order` holds way indices from least- to most-recently *used*;
-/// `fill_order` from oldest- to newest-*filled*. Both always contain
-/// every occupied way exactly once.
-fn victim(
-    policy: ReplacementPolicy,
-    use_order: &[usize],
-    fill_order: &[usize],
-    rng: &mut StdRng,
-) -> usize {
-    match policy {
-        ReplacementPolicy::Lru => use_order[0],
-        ReplacementPolicy::Fifo => fill_order[0],
-        ReplacementPolicy::Random => use_order[rng.random_range(0..use_order.len())],
-    }
-}
-
-/// One resident line: its address and owning stream.
+/// One resident line with the stream and clock of its latest use and
+/// the clock of its fill.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Resident {
     line: LineAddr,
     stream: StreamId,
     last_use: u64,
     filled_at: u64,
 }
 
-/// The earlier trace-driven cache simulator.
+/// The reference model.
 #[derive(Debug)]
 struct Oracle {
     geometry: Geometry,
     mapper: Mapper,
     policy: ReplacementPolicy,
-    sets: Vec<Vec<Entry>>,
-    shadow: ShadowCache,
+    sets: Vec<Vec<Resident>>,
+    /// Every line seen since the last reset, with the clock of its
+    /// latest access.
+    seen: HashMap<LineAddr, u64>,
+    /// The shadow's resident lines keyed by that clock, oldest first.
+    shadow: BTreeMap<u64, LineAddr>,
     stats: CacheStats,
     clock: u64,
     rng: StdRng,
@@ -141,13 +49,13 @@ struct Oracle {
 
 impl Oracle {
     fn build(geometry: Geometry, mapper: Mapper, policy: ReplacementPolicy) -> Self {
-        let sets = vec![Vec::new(); geometry.sets() as usize];
         Self {
             geometry,
             mapper,
             policy,
-            sets,
-            shadow: ShadowCache::new(geometry.total_lines()),
+            sets: vec![Vec::new(); geometry.sets() as usize],
+            seen: HashMap::new(),
+            shadow: BTreeMap::new(),
             stats: CacheStats::default(),
             clock: 0,
             rng: StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15),
@@ -156,78 +64,80 @@ impl Oracle {
 
     fn contains(&self, word: WordAddr) -> bool {
         let line = word.line(self.geometry.line_words());
-        let set = self.mapper.index(line) as usize;
-        self.sets[set].iter().any(|e| e.line == line)
+        let set = &self.sets[self.mapper.index(line) as usize];
+        set.iter().any(|r| r.line == line)
     }
 
     fn access(&mut self, word: WordAddr, stream: StreamId) -> AccessResult {
         self.clock += 1;
         let line = word.line(self.geometry.line_words());
-        let set_idx = self.mapper.index(line);
-        let verdict = self.shadow.touch(line);
-        let set = &mut self.sets[set_idx as usize];
-
-        if let Some(entry) = set.iter_mut().find(|e| e.line == line) {
-            entry.last_use = self.clock;
-            entry.stream = stream;
-            self.stats.accesses += 1;
-            self.stats.hits += 1;
-            return AccessResult {
-                line,
-                set: set_idx,
-                miss: None,
-                evicted: None,
-            };
+        let set = self.mapper.index(line);
+        // The shadow's verdict comes from before this access.
+        let seen = self.seen.insert(line, self.clock);
+        let shadow_hit = seen.is_some_and(|clock| self.shadow.remove(&clock).is_some());
+        self.shadow.insert(self.clock, line);
+        if self.shadow.len() as u64 > self.geometry.total_lines() {
+            self.shadow.pop_first();
         }
 
-        // Miss: pick a victim if the set is full.
-        let evicted = if (set.len() as u64) < self.geometry.ways() {
-            None
-        } else {
-            let mut use_order: Vec<usize> = (0..set.len()).collect();
-            use_order.sort_by_key(|&i| set[i].last_use);
-            let mut fill_order: Vec<usize> = (0..set.len()).collect();
-            fill_order.sort_by_key(|&i| set[i].filled_at);
-            let victim = victim(self.policy, &use_order, &fill_order, &mut self.rng);
-            Some(set.swap_remove(victim))
-        };
-
-        set.push(Entry {
+        let residents = &mut self.sets[set as usize];
+        let fill = Resident {
             line,
             stream,
             last_use: self.clock,
             filled_at: self.clock,
-        });
-
-        let kind = match verdict {
-            ShadowVerdict::ColdMiss => MissKind::Compulsory,
-            ShadowVerdict::CapacityMiss => MissKind::Capacity,
-            ShadowVerdict::Hit => match evicted {
-                Some(e) if e.stream != stream => MissKind::ConflictCross,
-                _ => MissKind::ConflictSelf,
-            },
         };
-        self.stats.accesses += 1;
-        match kind {
-            MissKind::Compulsory => self.stats.compulsory_misses += 1,
-            MissKind::Capacity => self.stats.capacity_misses += 1,
-            MissKind::ConflictSelf => self.stats.self_interference_misses += 1,
-            MissKind::ConflictCross => self.stats.cross_interference_misses += 1,
-        }
+        let (hit, evicted) = if let Some(hit) = residents.iter_mut().find(|r| r.line == line) {
+            hit.last_use = self.clock;
+            hit.stream = stream;
+            (true, None)
+        } else if (residents.len() as u64) < self.geometry.ways() {
+            residents.push(fill);
+            (false, None)
+        } else {
+            // The full set's slots ranked by a stamp, oldest first.
+            let ranked = |stamp: fn(&Resident) -> u64| {
+                let mut ranks: Vec<(u64, usize)> = residents.iter().map(stamp).zip(0..).collect();
+                ranks.sort_unstable();
+                ranks
+            };
+            let (_, victim) = match self.policy {
+                ReplacementPolicy::Lru => ranked(|r| r.last_use)[0],
+                ReplacementPolicy::Fifo => ranked(|r| r.filled_at)[0],
+                ReplacementPolicy::Random => {
+                    ranked(|r| r.last_use)[self.rng.random_range(0..residents.len())]
+                }
+            };
+            (false, Some(std::mem::replace(&mut residents[victim], fill)))
+        };
 
+        let miss = (!hit).then(|| match (seen, shadow_hit, evicted) {
+            (None, _, _) => MissKind::Compulsory,
+            (_, false, _) => MissKind::Capacity,
+            (_, _, Some(e)) if e.stream != stream => MissKind::ConflictCross,
+            _ => MissKind::ConflictSelf,
+        });
+        self.stats.accesses += 1;
+        *match miss {
+            None => &mut self.stats.hits,
+            Some(MissKind::Compulsory) => &mut self.stats.compulsory_misses,
+            Some(MissKind::Capacity) => &mut self.stats.capacity_misses,
+            Some(MissKind::ConflictSelf) => &mut self.stats.self_interference_misses,
+            Some(MissKind::ConflictCross) => &mut self.stats.cross_interference_misses,
+        } += 1;
         AccessResult {
             line,
-            set: set_idx,
-            miss: Some(kind),
+            set,
+            miss,
             evicted: evicted.map(|e| e.line),
         }
     }
 
+    /// Empties the cache and the shadow; the generator runs on.
     fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.shadow = ShadowCache::new(self.geometry.total_lines());
+        self.sets.iter_mut().for_each(Vec::clear);
+        self.seen.clear();
+        self.shadow.clear();
         self.stats = CacheStats::default();
         self.clock = 0;
     }

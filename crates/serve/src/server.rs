@@ -290,17 +290,27 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket configuration failures; individual connection errors are
-    /// absorbed and counted.
+    /// Socket configuration failures and a worker thread the OS
+    /// refuses; individual connection errors are absorbed and counted.
     pub fn run(self) -> io::Result<MetricsSnapshot> {
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let worker_handles: Vec<JoinHandle<()>> = (0..self.workers)
-            .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
+        let mut worker_handles: Vec<JoinHandle<()>> = Vec::with_capacity(self.workers);
+        for _ in 0..self.workers {
+            let shared = Arc::clone(&self.shared);
+            match thread::Builder::new().spawn(move || worker_loop(&shared)) {
+                Ok(handle) => worker_handles.push(handle),
+                Err(e) => {
+                    // The OS refused a thread: release the workers already
+                    // started and report the refusal instead of panicking.
+                    self.shared.queue.close();
+                    for handle in worker_handles {
+                        let _ = handle.join();
+                    }
+                    return Err(e);
+                }
+            }
+        }
 
         #[cfg(unix)]
         let unix_accept = self.unix.map(|listener| {

@@ -1061,6 +1061,16 @@ mod tests {
             assert_eq!(a.enumerated_lines, 0);
             assert_eq!(a.fits_capacity, Some(true));
         }
+        // Eight progressions of line stride 8 with one base per coset of
+        // <8> in Z_4096, up to 2^24 words each: decided without a line.
+        for trip in [1 << 8, 1 << 16, 1 << 24] {
+            let refs = (0..8u32)
+                .map(|r| AffineRef::new(u64::from(r) * 8, vec![t(64, trip)], r))
+                .collect();
+            let a = analyze_nest(&LoopNest::new("progressions", refs), &pow2(4096, 8)).unwrap();
+            assert_eq!(a.enumerated_lines, 0, "trip {trip}");
+            assert!(a.fallback_reasons.is_empty(), "{:?}", a.fallback_reasons);
+        }
     }
 
     #[test]
@@ -1074,6 +1084,14 @@ mod tests {
         assert!(a.fallback_reasons.is_empty(), "{:?}", a.fallback_reasons);
         assert_eq!(a.verdict, NestVerdict::SelfInterfering);
         assert_witness(&n, &pow2(32, 8), &a.witness.unwrap());
+        // An unaligned leading dimension (8196 mod 8 = 4) whose rows do
+        // not form a clean window or orbit, at every trip count.
+        for trip in [1 << 8, 1 << 12, 1 << 16, 1 << 24] {
+            let n = nest1("lat", 0, vec![t(8196, trip), t(1, 32)]);
+            let a = analyze_nest(&n, &pow2(8192, 8)).unwrap();
+            assert_eq!(a.enumerated_lines, 0, "trip {trip}");
+            assert!(a.fallback_reasons.is_empty(), "{:?}", a.fallback_reasons);
+        }
     }
 
     #[test]

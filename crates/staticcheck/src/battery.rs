@@ -208,18 +208,15 @@ pub fn run() -> (Vec<BatteryResult>, Vec<Finding>) {
         row.ok = row.enumerated_lines == 0 && row.fallbacks == 0 && row.errors == 0;
         if !row.ok {
             let detail = first_offender[slot].take().unwrap_or_default();
-            findings.push(Finding {
-                rule: "VC104".into(),
-                path: format!("battery:{}", row.geometry),
-                line: 0,
-                message: format!(
+            findings.push(Finding::gate(
+                "VC104",
+                &format!("battery:{}", row.geometry),
+                format!(
                     "random battery under {} is not enumeration-free: \
                      {} lines enumerated, {} fallbacks, {} errors over {} nests; first: {detail}",
                     row.geometry, row.enumerated_lines, row.fallbacks, row.errors, row.nests
                 ),
-                snippet: String::new(),
-                allowed: false,
-            });
+            ));
         }
     }
     (rows.into_iter().collect(), findings)

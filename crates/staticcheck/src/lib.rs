@@ -205,10 +205,13 @@ fn run_check_inner(
     let mut workload_results = Vec::new();
     let mut probabilistic_results = Vec::new();
     let mut advisories = Vec::new();
+    let mut src_files = 0;
 
     if options.src {
         observed(observer, "lex", || -> Result<(), CheckError> {
-            findings.extend(lint::scan_workspace(&options.root)?);
+            let (lints, files) = lint::scan_workspace(&options.root)?;
+            findings.extend(lints);
+            src_files = files;
             Ok(())
         })?;
     }
@@ -262,7 +265,7 @@ fn run_check_inner(
         probabilistic: probabilistic_results,
         advisories,
     };
-    let empty = empty_sections(options, &report);
+    let empty = empty_sections(options, &report, src_files);
     report.findings.extend(empty);
 
     // The allowlist only makes sense against a source scan: without one,
@@ -276,12 +279,23 @@ fn run_check_inner(
     Ok(report)
 }
 
-/// A `VC107` finding for each report section that a requested layer
-/// fills but that came back without a row: a layer that silently
+/// A `VC107` finding for a requested source scan that read no `.rs`
+/// file under the root, and for each report section that a requested
+/// layer fills but that came back without a row: a layer that silently
 /// produced nothing fails the gate instead of passing it vacuously.
-fn empty_sections(options: &CheckOptions, report: &Report) -> Vec<Finding> {
+fn empty_sections(options: &CheckOptions, report: &Report, src_files: usize) -> Vec<Finding> {
     let nests_prescribe = options.nests && options.prescribe;
     let probabilistic_prescribe = options.probabilistic && options.prescribe;
+    let src = (options.src && src_files == 0).then(|| {
+        Finding::gate(
+            "VC107",
+            "check:src",
+            format!(
+                "`--src` was requested but read no `.rs` file under `{}`",
+                options.root.display()
+            ),
+        )
+    });
     let sections = [
         (
             options.programs,
@@ -327,18 +341,17 @@ fn empty_sections(options: &CheckOptions, report: &Report) -> Vec<Finding> {
             report.advisories.is_empty(),
         ),
     ];
-    sections
+    let empty = sections
         .into_iter()
         .filter(|&(requested, _, _, empty)| requested && empty)
-        .map(|(_, switches, section, _)| Finding {
-            rule: "VC107".into(),
-            path: format!("check:{section}"),
-            line: 0,
-            message: format!("`{switches}` was requested but produced no `{section}` rows"),
-            snippet: String::new(),
-            allowed: false,
-        })
-        .collect()
+        .map(|(_, switches, section, _)| {
+            Finding::gate(
+                "VC107",
+                &format!("check:{section}"),
+                format!("`{switches}` was requested but produced no `{section}` rows"),
+            )
+        });
+    src.into_iter().chain(empty).collect()
 }
 
 fn read_allowlist(root: &Path) -> Result<Vec<allowlist::AllowEntry>, CheckError> {
@@ -473,11 +486,12 @@ mod tests {
             probabilistic: true,
         };
         let empty = Report::default();
-        let findings = empty_sections(&every, &empty);
+        let findings = empty_sections(&every, &empty, 0);
         let paths: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(
             paths,
             [
+                "check:src",
                 "check:suite",
                 "check:nests",
                 "check:battery",
@@ -490,13 +504,18 @@ mod tests {
         );
         assert!(findings.iter().all(|f| f.rule == "VC107" && !f.allowed));
         assert_eq!(
-            findings[3].message,
+            findings[0].message,
+            "`--src` was requested but read no `.rs` file under `/nonexistent-vcache-root`"
+        );
+        assert_eq!(
+            findings[4].message,
             "`--nests --prescribe` was requested but produced no `certificates` rows"
         );
         let mut report = empty.clone();
         report.findings = findings;
         assert!(!report.is_clean());
-        // Sections no switch asked for may stay empty.
+        // Sections no switch asked for may stay empty, and a scan that
+        // read a file is not empty.
         let src_only = CheckOptions {
             programs: false,
             nests: false,
@@ -505,7 +524,11 @@ mod tests {
             probabilistic: false,
             ..every
         };
-        assert!(empty_sections(&src_only, &empty).is_empty());
+        assert!(empty_sections(&src_only, &empty, 1).is_empty());
+        // A scan of a root with no Rust source reads nothing.
+        let report = run_check(&src_only).unwrap();
+        assert_eq!(report.findings.len(), 1, "{}", report.render_text());
+        assert_eq!(report.findings[0].path, "check:src");
     }
 
     #[test]

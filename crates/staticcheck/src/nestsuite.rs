@@ -20,12 +20,11 @@ use vcache_core::fft::plan_fft;
 use vcache_mersenne::MersenneModulus;
 
 use crate::absint::{analyze_nest, NestVerdict};
-use crate::conflict::Geometry;
 use crate::lint::Finding;
 use crate::nest::{AffineRef, LoopNest, Term};
 use crate::plan::plan;
 use crate::prescribe::{Certificate, DEFAULT_MAX_PAD};
-use crate::suite::{Expect, EXPONENT};
+use crate::suite::{canonical_geometries, Expect, EXPONENT};
 
 /// One suite case: a nest plus expected verdicts under both mappers.
 pub struct NestCase {
@@ -333,66 +332,47 @@ pub fn run(with_prescriptions: bool) -> NestSuiteRun {
     let mut alternatives = Vec::new();
     let mut findings = Vec::new();
     for case in cases() {
-        let geometries = [
-            (
-                Geometry::pow2(1 << EXPONENT, case.line_words),
-                case.expect_pow2,
-            ),
-            (
-                Geometry::prime(EXPONENT, case.line_words),
-                case.expect_prime,
-            ),
-        ];
-        for (geometry, expected) in geometries {
-            let geometry = match geometry {
-                Ok(g) => g,
-                Err(e) => unreachable!("canonical geometry invalid: {e}"),
-            };
+        let expectations = [case.expect_pow2, case.expect_prime];
+        for (geometry, expected) in canonical_geometries(case.line_words)
+            .into_iter()
+            .zip(expectations)
+        {
             let analysis = match analyze_nest(&case.nest, &geometry) {
                 Ok(a) => a,
                 Err(e) => unreachable!("canonical nest undecidable: {e}"),
             };
             let ok = matches_nest(expected, analysis.verdict);
             if !ok {
-                findings.push(Finding {
-                    rule: "VC101".into(),
-                    path: format!("nestsuite:{}", case.nest.name),
-                    line: 0,
-                    message: format!(
+                findings.push(Finding::gate(
+                    "VC101",
+                    &format!("nestsuite:{}", case.nest.name),
+                    format!(
                         "nest verdict drift under {geometry}: expected {expected:?}, interpreter says {}",
                         analysis.verdict
                     ),
-                    snippet: String::new(),
-                    allowed: false,
-                });
+                ));
             }
             if with_prescriptions && !analysis.verdict.is_conflict_free() {
                 let ranked = plan(&case.nest, &geometry, DEFAULT_MAX_PAD)
                     .map(|p| p.ranked)
                     .unwrap_or_default();
                 if ranked.is_empty() {
-                    findings.push(Finding {
-                        rule: "VC102".into(),
-                        path: format!("nestsuite:{}", case.nest.name),
-                        line: 0,
-                        message: format!("no prescription repairs this nest under {geometry}"),
-                        snippet: String::new(),
-                        allowed: false,
-                    });
+                    findings.push(Finding::gate(
+                        "VC102",
+                        &format!("nestsuite:{}", case.nest.name),
+                        format!("no prescription repairs this nest under {geometry}"),
+                    ));
                 } else {
                     for cert in &ranked {
                         if !cert.verify() {
-                            findings.push(Finding {
-                                rule: "VC102".into(),
-                                path: format!("nestsuite:{}", case.nest.name),
-                                line: 0,
-                                message: format!(
+                            findings.push(Finding::gate(
+                                "VC102",
+                                &format!("nestsuite:{}", case.nest.name),
+                                format!(
                                     "prescription '{}' under {geometry} fails re-verification",
                                     cert.fix
                                 ),
-                                snippet: String::new(),
-                                allowed: false,
-                            });
+                            ));
                         }
                     }
                     let best_fix = ranked[0].fix.to_string();
@@ -401,26 +381,20 @@ pub fn run(with_prescriptions: bool) -> NestSuiteRun {
                         .find(|(nest, geo, _)| *nest == case.nest.name && *geo == geometry.kind());
                     match committed {
                         Some((_, _, fix)) if *fix == best_fix => {}
-                        Some((_, _, fix)) => findings.push(Finding {
-                            rule: "VC106".into(),
-                            path: format!("nestsuite:{}", case.nest.name),
-                            line: 0,
-                            message: format!(
+                        Some((_, _, fix)) => findings.push(Finding::gate(
+                            "VC106",
+                            &format!("nestsuite:{}", case.nest.name),
+                            format!(
                                 "best-certificate drift under {geometry}: committed '{fix}', planner chose '{best_fix}'"
                             ),
-                            snippet: String::new(),
-                            allowed: false,
-                        }),
-                        None => findings.push(Finding {
-                            rule: "VC106".into(),
-                            path: format!("nestsuite:{}", case.nest.name),
-                            line: 0,
-                            message: format!(
+                        )),
+                        None => findings.push(Finding::gate(
+                            "VC106",
+                            &format!("nestsuite:{}", case.nest.name),
+                            format!(
                                 "interfering row has no committed best repair (planner chose '{best_fix}' under {geometry})"
                             ),
-                            snippet: String::new(),
-                            allowed: false,
-                        }),
+                        )),
                     }
                     let mut ranked = ranked;
                     certificates.push(ranked.remove(0));

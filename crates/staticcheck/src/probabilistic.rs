@@ -64,7 +64,7 @@ use vcache_workloads::{gather_trace, histogram_trace, spmv_gather_trace, zipf_we
 
 use crate::conflict::Geometry;
 use crate::lint::Finding;
-use crate::suite::EXPONENT;
+use crate::suite::canonical_geometries;
 use crate::worksuite::{self, Lowering};
 
 /// Seeded Monte-Carlo sweeps per (row, geometry) during validation.
@@ -645,29 +645,19 @@ pub fn run() -> (Vec<ProbabilisticRow>, Vec<Finding>) {
             continue;
         };
         let Some(profile) = profile else {
-            findings.push(Finding {
-                rule: "VC009".into(),
-                path: format!("worksuite:{}", case.name),
-                line: 0,
-                message: format!(
+            findings.push(Finding::gate(
+                "VC009",
+                &format!("worksuite:{}", case.name),
+                format!(
                     "non-affine workload `{}` carries no access profile: envelope-only \
                      rows get no probabilistic verdict",
                     case.name
                 ),
-                snippet: String::new(),
-                allowed: false,
-            });
+            ));
             continue;
         };
         let n = u64::try_from(case.trace.words().count()).unwrap_or(u64::MAX);
-        for geometry in [
-            Geometry::pow2(1 << EXPONENT, case.line_words),
-            Geometry::prime(EXPONENT, case.line_words),
-        ] {
-            let geometry = match geometry {
-                Ok(g) => g,
-                Err(e) => unreachable!("canonical geometry invalid: {e}"),
-            };
+        for geometry in canonical_geometries(case.line_words) {
             let verdict = analyze_profile(profile, n, &geometry);
             let Some(mc) = monte_carlo(profile, n, &geometry, MC_SWEEPS, MC_SEED) else {
                 unreachable!("canonical Monte-Carlo configuration invalid")
@@ -676,11 +666,10 @@ pub fn run() -> (Vec<ProbabilisticRow>, Vec<Finding>) {
             let drift = (verdict.expected_misses() - mc.empirical_mean).abs();
             let ok = drift <= tolerance;
             if !ok {
-                findings.push(Finding {
-                    rule: "VC105".into(),
-                    path: format!("worksuite:{}", case.name),
-                    line: 0,
-                    message: format!(
+                findings.push(Finding::gate(
+                    "VC105",
+                    &format!("worksuite:{}", case.name),
+                    format!(
                         "closed form drifts from Monte-Carlo under {}: expected {:.3} \
                          conflict misses, {} sweeps measured {:.3} ± {:.3} (tolerance {:.3})",
                         geometry.kind(),
@@ -690,9 +679,7 @@ pub fn run() -> (Vec<ProbabilisticRow>, Vec<Finding>) {
                         mc.std_err,
                         tolerance
                     ),
-                    snippet: String::new(),
-                    allowed: false,
-                });
+                ));
             }
             match geometry.kind() {
                 "pow2" => pow2_total += verdict.expected_misses(),
@@ -713,17 +700,14 @@ pub fn run() -> (Vec<ProbabilisticRow>, Vec<Finding>) {
     // class: across the non-affine family the pow2 mapper must expect
     // strictly more conflict misses than the Mersenne-prime one.
     if !rows.is_empty() && pow2_total <= prime_total {
-        findings.push(Finding {
-            rule: "VC105".into(),
-            path: "worksuite:non-affine-family".into(),
-            line: 0,
-            message: format!(
+        findings.push(Finding::gate(
+            "VC105",
+            "worksuite:non-affine-family",
+            format!(
                 "prime advantage lost on the non-affine family: pow2 expects {pow2_total:.3} \
                  conflict misses, prime {prime_total:.3}"
             ),
-            snippet: String::new(),
-            allowed: false,
-        });
+        ));
     }
     (rows, findings)
 }

@@ -235,7 +235,10 @@ pub fn decide_within(r: &AffineRef, geometry: &Geometry) -> RelOutcome {
         return RelOutcome::Free(Rule::BoundedOffset);
     }
     match class_lattices(r, geometry.line_words()) {
-        Ok(classes) => decide_class_sets(&classes, &classes, true, geometry.sets()),
+        Ok(classes) => {
+            let mut budget = COMPONENT_WORK_BUDGET;
+            decide_class_sets(&classes, &classes, true, geometry.sets(), &mut budget)
+        }
         Err(reason) => RelOutcome::NeedsEnumeration(reason),
     }
 }
@@ -248,7 +251,10 @@ pub fn decide_pair(a: &AffineRef, b: &AffineRef, geometry: &Geometry) -> RelOutc
     }
     let lw = geometry.line_words();
     match (class_lattices(a, lw), class_lattices(b, lw)) {
-        (Ok(ca), Ok(cb)) => decide_class_sets(&ca, &cb, false, geometry.sets()),
+        (Ok(ca), Ok(cb)) => {
+            let mut budget = COMPONENT_WORK_BUDGET;
+            decide_class_sets(&ca, &cb, false, geometry.sets(), &mut budget)
+        }
         (Err(reason), _) | (_, Err(reason)) => RelOutcome::NeedsEnumeration(reason),
     }
 }
@@ -281,16 +287,14 @@ fn intervals_bounded(a: &AffineRef, b: &AffineRef, geometry: &Geometry) -> bool 
 /// re-queried per pair. Components with at most [`MAX_CLASS_PAIRS`]
 /// pairs additionally run the per-pair closers (modular sweep, mixed
 /// solve, box walk); larger components stay on the O(1)-per-pair
-/// shared path up to [`MAX_SHARED_PAIRS`].
-/// A class's dimension signature: `(coeff, trip)` per kept dimension.
-/// Classes sharing a signature pair share one [`PairDecider`].
-type DimSignature = Vec<(u64, u64)>;
-
+/// shared path up to [`MAX_SHARED_PAIRS`]. Every walk step, solve
+/// combination and DP table update is charged to `budget`.
 fn decide_class_sets(
     ca: &[ClassLattice],
     cb: &[ClassLattice],
     same_ref: bool,
     sets: u64,
+    budget: &mut u128,
 ) -> RelOutcome {
     let pair_count = if same_ref {
         ca.len() * (ca.len() + 1) / 2
@@ -301,7 +305,6 @@ fn decide_class_sets(
         return RelOutcome::NeedsEnumeration("class-pair-overflow");
     }
     let per_pair = pair_count <= MAX_CLASS_PAIRS;
-    let mut budget = COMPONENT_WORK_BUDGET;
     let mut deciders: BTreeMap<(DimSignature, DimSignature), PairDecider> = BTreeMap::new();
     let mut free_rule = Rule::BoundedOffset;
     let mut unsettled: Option<RelOutcome> = None;
@@ -311,7 +314,7 @@ fn decide_class_sets(
             let decider = deciders
                 .entry((a.dims.clone(), b.dims.clone()))
                 .or_insert_with(|| PairDecider::build(&a.dims, &b.dims));
-            match decider.decide(a.base, b.base, sets, &mut budget, per_pair) {
+            match decider.decide(a.base, b.base, sets, budget, per_pair) {
                 conflict @ RelOutcome::Conflict(..) => return conflict,
                 RelOutcome::Free(Rule::CosetSeparated) => free_rule = Rule::CosetSeparated,
                 RelOutcome::Free(_) => {}
@@ -321,6 +324,10 @@ fn decide_class_sets(
     }
     unsettled.unwrap_or(RelOutcome::Free(free_rule))
 }
+
+/// A class's dimension signature: `(coeff, trip)` per kept dimension.
+/// Classes sharing a signature pair share one [`PairDecider`].
+type DimSignature = Vec<(u64, u64)>;
 
 /// One boxed index variable of a class pair's difference form.
 struct Item {
@@ -1523,6 +1530,69 @@ mod tests {
                 Congruence::new(a, m).solve(b),
                 solve_congruence(a, b, m),
                 "{a}·k ≡ {b} (mod {m})"
+            );
+        }
+    }
+
+    /// The class pairs one component holds and the work its decision
+    /// charges against [`COMPONENT_WORK_BUDGET`], along the path
+    /// [`decide_within`] and [`decide_pair`] take.
+    fn component_cost(a: &AffineRef, b: &AffineRef, same_ref: bool, g: &Geometry) -> (usize, u128) {
+        if intervals_bounded(a, b, g) {
+            return (0, 0);
+        }
+        let ca = class_lattices(a, g.line_words()).unwrap();
+        let cb = class_lattices(b, g.line_words()).unwrap();
+        let mut budget = COMPONENT_WORK_BUDGET;
+        let outcome = decide_class_sets(&ca, &cb, same_ref, g.sets(), &mut budget);
+        assert!(
+            !matches!(outcome, RelOutcome::NeedsEnumeration(_)),
+            "{outcome:?}"
+        );
+        let pairs = if same_ref {
+            ca.len() * (ca.len() + 1) / 2
+        } else {
+            ca.len() * cb.len()
+        };
+        (pairs, COMPONENT_WORK_BUDGET - budget)
+    }
+
+    /// [`component_cost`] summed over a nest's components: every
+    /// reference against itself and every unordered reference pair.
+    fn nest_cost(refs: &[AffineRef], g: &Geometry) -> (usize, u128) {
+        let mut total = (0, 0);
+        for (i, a) in refs.iter().enumerate() {
+            for (j, b) in refs.iter().enumerate().skip(i) {
+                let (pairs, work) = component_cost(a, b, i == j, g);
+                total = (total.0 + pairs, total.1 + work);
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn symbolic_work_does_not_grow_with_trip_counts() {
+        // Eight line-aligned progressions of line stride 8, one base per
+        // coset of <8> in Z_4096: 36 components of one class pair each.
+        let progressions = |trip| -> Vec<AffineRef> {
+            (0..8u32)
+                .map(|r| AffineRef::new(u64::from(r) * 8, vec![t(64, trip)], r))
+                .collect()
+        };
+        // At 2^8 every component is settled by its line interval.
+        for (trip, cost) in [(1u64 << 8, (0, 0)), (1 << 16, (36, 0)), (1 << 24, (36, 0))] {
+            let refs = progressions(trip);
+            assert_eq!(nest_cost(&refs, &pow2(4096, 8)), cost, "trip {trip}");
+        }
+        // An unaligned leading dimension (8196 mod 8 = 4) splits into 16
+        // classes, 136 pairs with the diagonal; the work charged shrinks
+        // as the trips grow.
+        for (trip, work) in [(1u64 << 8, 175), (1 << 12, 7), (1 << 16, 0), (1 << 24, 0)] {
+            let lattice = [aref(0, vec![t(8196, trip), t(1, 32)])];
+            assert_eq!(
+                nest_cost(&lattice, &pow2(8192, 8)),
+                (136, work),
+                "trip {trip}"
             );
         }
     }

@@ -20,6 +20,25 @@ use crate::lint::Finding;
 /// Canonical geometry: `c = 13` — 8191 prime sets vs 8192 pow2 sets.
 pub const EXPONENT: u32 = 13;
 
+/// The canonical geometry pair every suite driver runs, pow2 first:
+/// `2^EXPONENT` pow2 sets and `2^EXPONENT − 1` prime sets, both with
+/// `line_words`-word lines.
+///
+/// # Panics
+///
+/// Panics only on a line size no geometry accepts, which would be a
+/// programming error in a committed table.
+pub(crate) fn canonical_geometries(line_words: u64) -> [Geometry; 2] {
+    [
+        Geometry::pow2(1 << EXPONENT, line_words),
+        Geometry::prime(EXPONENT, line_words),
+    ]
+    .map(|geometry| match geometry {
+        Ok(g) => g,
+        Err(e) => unreachable!("canonical geometry invalid: {e}"),
+    })
+}
+
 /// Coarse expected verdict (the detail fields are checked by the property
 /// tests against the simulator, not here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -151,38 +170,25 @@ pub fn run() -> (Vec<SuiteResult>, Vec<Finding>) {
     let mut results = Vec::new();
     let mut findings = Vec::new();
     for case in cases() {
-        let geometries = [
-            (
-                Geometry::pow2(1 << EXPONENT, case.line_words),
-                case.expect_pow2,
-            ),
-            (
-                Geometry::prime(EXPONENT, case.line_words),
-                case.expect_prime,
-            ),
-        ];
-        for (geometry, expected) in geometries {
-            let geometry = match geometry {
-                Ok(g) => g,
-                Err(e) => unreachable!("canonical geometry invalid: {e}"),
-            };
+        let expectations = [case.expect_pow2, case.expect_prime];
+        for (geometry, expected) in canonical_geometries(case.line_words)
+            .into_iter()
+            .zip(expectations)
+        {
             let analysis = match analyze_program(&case.program, &geometry) {
                 Ok(a) => a,
                 Err(e) => unreachable!("canonical case too large: {e}"),
             };
             let ok = expected.matches(&analysis.verdict);
             if !ok {
-                findings.push(Finding {
-                    rule: "VC100".into(),
-                    path: format!("suite:{}", case.program.name),
-                    line: 0,
-                    message: format!(
+                findings.push(Finding::gate(
+                    "VC100",
+                    &format!("suite:{}", case.program.name),
+                    format!(
                         "verdict drift under {geometry}: expected {expected:?}, analyzer says {}",
                         analysis.verdict
                     ),
-                    snippet: String::new(),
-                    allowed: false,
-                });
+                ));
             }
             results.push(SuiteResult {
                 program: case.program.name.clone(),

@@ -27,11 +27,10 @@ use vcache_workloads::{
 };
 
 use crate::absint::{analyze_nest, NestVerdict};
-use crate::conflict::Geometry;
 use crate::lint::Finding;
 use crate::nest::{AffineRef, LoopNest, Term};
 use crate::probabilistic::{analyze_profile, AccessProfile, ProbVerdict};
-use crate::suite::{Expect, EXPONENT};
+use crate::suite::{canonical_geometries, Expect};
 
 /// Word cap for materializing lowered nests during word-set validation.
 /// Every canonical case fits comfortably; a case that outgrows the cap is
@@ -634,14 +633,11 @@ pub fn run() -> (Vec<WorkloadSuiteResult>, Vec<Finding>) {
     for case in cases() {
         let word_set_failure = validate_lowering(&case);
         if let Some(message) = &word_set_failure {
-            findings.push(Finding {
-                rule: "VC103".into(),
-                path: format!("worksuite:{}", case.name),
-                line: 0,
-                message: message.clone(),
-                snippet: String::new(),
-                allowed: false,
-            });
+            findings.push(Finding::gate(
+                "VC103",
+                &format!("worksuite:{}", case.name),
+                message.clone(),
+            ));
         }
         let (non_affine, profile) = match &case.lowering {
             Lowering::Exact(_) => (None, None),
@@ -650,39 +646,26 @@ pub fn run() -> (Vec<WorkloadSuiteResult>, Vec<Finding>) {
             } => (Some(reason.clone()), *profile),
         };
         let accesses = u64::try_from(case.trace.words().count()).unwrap_or(u64::MAX);
-        let geometries = [
-            (
-                Geometry::pow2(1 << EXPONENT, case.line_words),
-                case.expect_pow2,
-            ),
-            (
-                Geometry::prime(EXPONENT, case.line_words),
-                case.expect_prime,
-            ),
-        ];
-        for (geometry, expected) in geometries {
-            let geometry = match geometry {
-                Ok(g) => g,
-                Err(e) => unreachable!("canonical geometry invalid: {e}"),
-            };
+        let expectations = [case.expect_pow2, case.expect_prime];
+        for (geometry, expected) in canonical_geometries(case.line_words)
+            .into_iter()
+            .zip(expectations)
+        {
             let analysis = match analyze_nest(case.lowering.nest(), &geometry) {
                 Ok(a) => a,
                 Err(e) => unreachable!("canonical workload nest undecidable: {e}"),
             };
             let verdict_ok = matches_workload(expected, analysis.verdict, non_affine.is_some());
             if !verdict_ok {
-                findings.push(Finding {
-                    rule: "VC103".into(),
-                    path: format!("worksuite:{}", case.name),
-                    line: 0,
-                    message: format!(
+                findings.push(Finding::gate(
+                    "VC103",
+                    &format!("worksuite:{}", case.name),
+                    format!(
                         "workload verdict drift under {geometry}: expected {expected:?}, \
                          interpreter says {}",
                         analysis.verdict
                     ),
-                    snippet: String::new(),
-                    allowed: false,
-                });
+                ));
             }
             results.push(WorkloadSuiteResult {
                 workload: case.name.into(),

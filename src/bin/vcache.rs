@@ -85,7 +85,9 @@ USAGE:
       JSONL; requests slower than --slow-ms (default 1000, 0 disables)
       are logged to stderr as structured slow_request lines. --cache
       bounds the digest-keyed verdict cache (entries, default 1024, 0
-      disables; DESIGN.md §9).
+      disables; DESIGN.md §9). --workers takes 1 to 256 threads
+      (default 4); --queue (default 64) and --deadline-ms (default
+      10000) must be at least 1.
   vcache stat --addr <A> [--prom] [--json] [--attempts <N>]
       Fetch a running daemon's status and render it: a human summary by
       default, the Prometheus text exposition with --prom, or the raw
@@ -338,6 +340,32 @@ fn get_or<T: std::str::FromStr>(
     }
 }
 
+/// [`get_or`] for a count that must be at least 1.
+fn get_positive<T: std::str::FromStr + Default + PartialEq>(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let value = get_or(flags, name, default)?;
+    if value == T::default() {
+        return Err(format!("--{name} must be at least 1"));
+    }
+    Ok(value)
+}
+
+/// [`get_or`] for a probability: a value in [0, 1], so never NaN.
+fn get_probability(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: f64,
+) -> Result<f64, String> {
+    let p = get_or(flags, name, default)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("--{name} must be a probability in [0, 1], got {p}"));
+    }
+    Ok(p)
+}
+
 fn build_cache(spec: &str) -> Result<CacheSim, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     let cache = match parts.as_slice() {
@@ -446,8 +474,8 @@ fn plan_fft_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 fn compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let t_m: u64 = get(flags, "tm")?;
     let b: u64 = get_or(flags, "blocking", 4096)?;
-    let p_ds: f64 = get_or(flags, "pds", 0.1)?;
-    let p1: f64 = get_or(flags, "pstride1", 0.25)?;
+    let p_ds = get_probability(flags, "pds", 0.1)?;
+    let p1 = get_probability(flags, "pstride1", 0.25)?;
     if t_m == 0 || b == 0 {
         return Err("--tm and --blocking must be positive".into());
     }
@@ -658,25 +686,38 @@ mod signals {
     }
 }
 
-fn serve_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+/// Most worker threads `vcache serve` starts. Each is an OS thread, and
+/// the OS may refuse far fewer than `usize::MAX`.
+const MAX_WORKERS: usize = 256;
+
+/// The daemon configuration `vcache serve` flags ask for. Every value is
+/// checked here, before anything binds.
+fn serve_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String> {
     let fault_plan = match flags.get("faults") {
         Some(spec) => FaultPlan::parse(spec)?,
         None => FaultPlan::none(),
     };
-    let config = ServerConfig {
+    let workers = get_positive(flags, "workers", 4)?;
+    if workers > MAX_WORKERS {
+        return Err(format!("--workers must be at most {MAX_WORKERS}"));
+    }
+    Ok(ServerConfig {
         addr: get_or(flags, "addr", "127.0.0.1:0".to_string())?,
         unix_path: flags.get("unix").map(std::path::PathBuf::from),
-        workers: get_or(flags, "workers", 4)?,
-        queue_capacity: get_or(flags, "queue", 64)?,
-        default_deadline_ms: get_or(flags, "deadline-ms", 10_000)?,
+        workers,
+        queue_capacity: get_positive(flags, "queue", 64)?,
+        default_deadline_ms: get_positive(flags, "deadline-ms", 10_000)?,
         retry_after_ms: get_or(flags, "retry-after-ms", 50)?,
         fault_plan,
         root: get_or(flags, "root", ".".to_string())?.into(),
         span_path: flags.get("spans").map(std::path::PathBuf::from),
         slow_request_ms: get_or(flags, "slow-ms", 1_000)?,
         cache_capacity: get_or(flags, "cache", 1_024)?,
-    };
-    let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
+    })
+}
+
+fn serve_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+    let server = Server::bind(serve_config(flags)?).map_err(|e| format!("cannot bind: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     outln!("listening on {addr}");
     let _ = io::stdout().flush();
@@ -872,6 +913,29 @@ mod tests {
         assert!(parse_flags(&strings(&["a", "1"]), &[&spec]).is_err());
         let err = parse_flags(&strings(&["--a", "1", "--c", "2"]), &[&spec]).unwrap_err();
         assert!(err.contains("`--c`"), "{err}");
+        // Out-of-range values fail naming their flag, never substituting.
+        for (name, value) in [("pds", "2"), ("pds", "nan"), ("pstride1", "-1")] {
+            let err = get_probability(&flags(&[(name, value)]), name, 0.5).unwrap_err();
+            assert!(err.contains(&format!("--{name} must be")), "{err}");
+        }
+        assert_eq!(
+            get_probability(&flags(&[("pds", "1")]), "pds", 0.5),
+            Ok(1.0)
+        );
+        assert_eq!(get_probability(&flags(&[]), "pds", 0.5), Ok(0.5));
+        let (most, past) = (MAX_WORKERS.to_string(), (MAX_WORKERS + 1).to_string());
+        for (name, value) in [
+            ("workers", "0"),
+            ("workers", past.as_str()),
+            ("queue", "0"),
+            ("deadline-ms", "0"),
+        ] {
+            let err = serve_config(&flags(&[(name, value)])).unwrap_err();
+            assert!(err.contains(&format!("--{name} must be")), "{err}");
+        }
+        let config = serve_config(&flags(&[("workers", &most), ("queue", "1")])).unwrap();
+        assert_eq!((config.workers, config.queue_capacity), (MAX_WORKERS, 1));
+        assert_eq!(config.default_deadline_ms, 10_000);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end checks of the `vcache` binary's command-line surface: a
-//! typo'd flag fails naming the flag, a cache too large to simulate fails
-//! with a typed message instead of aborting, and a reader that closes the
+//! typo'd or out-of-range flag fails naming the flag, a cache too large
+//! to simulate fails with a typed message instead of aborting, a source
+//! scan that reads no file fails the gate, and a reader that closes the
 //! pipe early (`vcache analyze … | head -1`) ends the command with exit 0.
 
 use std::io::{BufRead, BufReader};
@@ -70,4 +71,62 @@ fn a_cache_past_the_line_bound_fails_with_a_typed_message() {
         stderr.contains("1099511627776 lines exceed the simulator's allocation bound of 268435456"),
         "{stderr}"
     );
+}
+
+/// Runs `vcache` with `args`; returns its exit code and its stdout
+/// followed by its stderr.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(BIN).args(args).output().unwrap();
+    let text = [output.stdout, output.stderr].concat();
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&text).into_owned(),
+    )
+}
+
+#[test]
+fn out_of_range_flags_fail_naming_them() {
+    for (args, named) in [
+        (
+            &["compare", "--tm", "32", "--pds", "2"][..],
+            "--pds must be",
+        ),
+        (&["compare", "--tm", "32", "--pds", "nan"], "--pds must be"),
+        (
+            &["compare", "--tm", "32", "--pstride1", "-1"],
+            "--pstride1 must be",
+        ),
+        // The address has no port, so a daemon that wrongly took its
+        // flags would still fail at bind, before starting a thread.
+        (
+            &["serve", "--addr", "noport", "--workers", "0"],
+            "--workers must be",
+        ),
+        (
+            &["serve", "--addr", "noport", "--workers", "100000"],
+            "--workers must be",
+        ),
+        (
+            &["serve", "--addr", "noport", "--queue", "0"],
+            "--queue must be",
+        ),
+        (
+            &["serve", "--addr", "noport", "--deadline-ms", "0"],
+            "--deadline-ms must be",
+        ),
+    ] {
+        let (code, text) = run(args);
+        assert_eq!(code, Some(1), "{args:?}: {text}");
+        assert!(text.contains(named), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn a_source_scan_that_reads_nothing_fails() {
+    let dir = std::env::temp_dir().join(format!("vcache-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (code, text) = run(&["check", "--src", "--root", dir.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("VC107 check:src"), "{text}");
 }
