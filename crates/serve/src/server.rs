@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize, Value};
 use vcache_check::{
     analyze_nest_with_budget, plan_parallel, run_check_observed, CheckError, CheckOptions,
-    CostWeights, LoopNest, NestBudget, NestError, DEFAULT_MAX_PAD,
+    CostWeights, LoopNest, NestBudget, NestError, DEFAULT_MAX_PAD, MAX_PAD_BOUND,
 };
 use vcache_trace::analyze;
 use vcache_trace::{
@@ -995,6 +995,11 @@ fn op_analyze_nest(
     let max_pad = u64_param(params, "max_pad")
         .map_err(bad)?
         .unwrap_or(DEFAULT_MAX_PAD);
+    if max_pad > MAX_PAD_BOUND {
+        return Err(bad(format!(
+            "param `max_pad` must be at most {MAX_PAD_BOUND}, got {max_pad}"
+        )));
+    }
 
     let phases = PhaseSpans::new(span);
     let analysis = {

@@ -663,6 +663,34 @@ fn daemon_padding_frontier_default_matches_the_local_planner() {
     runner.join().unwrap();
 }
 
+/// A `max_pad` past [`vcache_check::MAX_PAD_BOUND`] is refused as a bad
+/// request naming the bound, before any analysis: the planner would
+/// otherwise build one candidate per delta up front.
+#[test]
+fn a_max_pad_past_the_bound_gets_bad_request() {
+    use vcache_check::MAX_PAD_BOUND;
+    let (addr, handle, _metrics, runner) = boot(ServerConfig::default());
+    for max_pad in [MAX_PAD_BOUND + 1, u64::MAX] {
+        let response = raw_call(&addr, &plan_params(&deep_pad_nest(), 16, 16, Some(max_pad)));
+        match response.outcome {
+            Err(body) => {
+                assert_eq!(body.code, ErrorCode::BadRequest, "{}", body.message);
+                let bound = format!("`max_pad` must be at most {MAX_PAD_BOUND}, got {max_pad}");
+                assert!(body.message.contains(&bound), "{}", body.message);
+            }
+            Ok(v) => panic!("max_pad {max_pad}: expected bad_request, got {v:?}"),
+        }
+    }
+    // The bound itself is accepted.
+    let response = raw_call(
+        &addr,
+        &plan_params(&deep_pad_nest(), 16, 16, Some(MAX_PAD_BOUND)),
+    );
+    assert!(response.outcome.is_ok(), "{response:?}");
+    handle.trigger();
+    runner.join().unwrap();
+}
+
 /// The served ranking — best certificate, alternatives array, and plan
 /// counters — must be byte-identical to the local planner's, and stable
 /// across repeated requests: the daemon's parallel batch path may not

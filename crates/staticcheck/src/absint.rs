@@ -737,14 +737,13 @@ pub fn analyze_nest_with_budget(
     geometry: &Geometry,
     nest_budget: &NestBudget<'_>,
 ) -> Result<NestAnalysis, NestError> {
-    analyze_components(nest, geometry, nest_budget, false)
+    analyze_components(nest, geometry, nest_budget, Scope::Full)
 }
 
 /// Whether `nest` is conflict-free under `geometry`: the verdict of
 /// [`analyze_nest_with_budget`] without the rest of the analysis. It runs
 /// the same component loop with the same polls, but returns `Ok(false)`
-/// at the first conflicting component — the planner's check of each
-/// candidate, which needs only this bit.
+/// at the first conflicting component.
 ///
 /// # Errors
 ///
@@ -756,19 +755,47 @@ pub(crate) fn is_conflict_free_with_budget(
     geometry: &Geometry,
     nest_budget: &NestBudget<'_>,
 ) -> Result<bool, NestError> {
-    analyze_components(nest, geometry, nest_budget, true).map(|a| a.verdict.is_conflict_free())
+    is_free_among(nest, geometry, nest_budget, &|_| true)
 }
 
-/// The analysis behind both entries. With `verdict_only`, the component
-/// loop and the enumeration scan stop at the first conflict, so the
-/// result's verdict is right about conflict freedom but its proofs,
+/// [`is_conflict_free_with_budget`] over only the components `decide`
+/// selects, the rest taken as free and not polled — the planner's check
+/// of each candidate, which needs only this bit, and knows the outcome of
+/// every component its edit leaves alone.
+///
+/// # Errors
+///
+/// As [`is_conflict_free_with_budget`], for the selected components.
+pub(crate) fn is_free_among(
+    nest: &LoopNest,
+    geometry: &Geometry,
+    nest_budget: &NestBudget<'_>,
+    decide: &dyn Fn(Component) -> bool,
+) -> Result<bool, NestError> {
+    analyze_components(nest, geometry, nest_budget, Scope::Verdict(decide))
+        .map(|a| a.verdict.is_conflict_free())
+}
+
+/// What one run of the component loop is for.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// Every component, with its proof and a witness for a conflict.
+    Full,
+    /// Only whether the components the filter selects are all free.
+    Verdict(&'a dyn Fn(Component) -> bool),
+}
+
+/// The analysis behind both entries. Under [`Scope::Verdict`], the
+/// component loop and the enumeration scan stop at the first conflict, so
+/// the result's verdict is right about conflict freedom but its proofs,
 /// witness and self/cross classification may be partial.
 fn analyze_components(
     nest: &LoopNest,
     geometry: &Geometry,
     nest_budget: &NestBudget<'_>,
-    verdict_only: bool,
+    scope: Scope<'_>,
 ) -> Result<NestAnalysis, NestError> {
+    let verdict_only = matches!(scope, Scope::Verdict(_));
     let mut poll = CancelPoll::new(nest_budget);
     let line_words = geometry.line_words();
     let line_sets: Vec<LineSet> = observe_phase(nest_budget, "lineset", || {
@@ -812,6 +839,10 @@ fn analyze_components(
         for component in (0..refs.len())
             .map(|r| Component::Within { r })
             .chain(pairs)
+            .filter(|&c| match scope {
+                Scope::Full => true,
+                Scope::Verdict(decide) => decide(c),
+            })
         {
             // One poll per component: a symbolic decision is never cut
             // short, so this bounds how long a fired budget goes unseen.

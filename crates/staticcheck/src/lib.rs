@@ -86,7 +86,7 @@ pub use nest::{AffineRef, LoopNest, Term};
 pub use plan::{plan, plan_parallel, plan_with_budget, CostModel, CostWeights, Plan};
 pub use prescribe::{
     advise_switch_to_prime, prescribe, prescribe_with_budget, Advisory, Certificate, Fix,
-    DEFAULT_MAX_PAD,
+    DEFAULT_MAX_PAD, MAX_PAD_BOUND,
 };
 pub use probabilistic::{
     analyze_profile, monte_carlo, AccessProfile, CollisionModel, MonteCarlo, ProbVerdict,

@@ -40,7 +40,8 @@ use serde::Serialize;
 use vcache_mersenne::MERSENNE_EXPONENTS;
 
 use crate::absint::{
-    analyze_nest_with_budget, is_conflict_free_with_budget, Component, NestBudget, NestError,
+    analyze_nest_with_budget, is_conflict_free_with_budget, is_free_among, Component,
+    ComponentProof, NestBudget, NestError,
 };
 use crate::conflict::Geometry;
 use crate::nest::LoopNest;
@@ -197,35 +198,38 @@ impl Candidate {
     }
 }
 
-/// True when the nest is conflict-free under `geometry`, from the
-/// verdict-only analysis; analysis failures count as "not free" so the
-/// plan skips the candidate — except cancellation, which aborts the
-/// whole plan.
-fn is_free(
-    nest: &LoopNest,
-    geometry: &Geometry,
-    budget: &NestBudget<'_>,
-) -> Result<bool, NestError> {
-    match is_conflict_free_with_budget(nest, geometry, budget) {
-        Ok(free) => Ok(free),
+/// A candidate check's verdict, with analysis failures counted as "not
+/// free" so the plan skips the candidate — except cancellation, which
+/// aborts the whole plan.
+fn free_or_skip(checked: Result<bool, NestError>) -> Result<bool, NestError> {
+    match checked {
         Err(NestError::Cancelled) => Err(NestError::Cancelled),
-        Err(_) => Ok(false),
+        checked => Ok(checked.unwrap_or(false)),
     }
 }
 
+/// What one full analysis of the original nest tells the planner.
+struct Triage {
+    /// The references implicated in any conflict, in index order.
+    implicated: Vec<usize>,
+    /// Every component's outcome under the original geometry, when the
+    /// analysis decided them all symbolically; `None` after a failure or
+    /// an enumeration fallback, and then no candidate reuses them.
+    proofs: Option<Vec<ComponentProof>>,
+}
+
 /// Triage of the original nest, from one full analysis: `None` when it
-/// is already conflict-free, otherwise the references implicated in any
-/// conflict, in index order. If the analysis itself fails (other than
+/// is already conflict-free. If the analysis itself fails (other than
 /// by cancellation), every reference is implicated.
-fn implicated_refs(
+fn triage(
     nest: &LoopNest,
     geometry: &Geometry,
     budget: &NestBudget<'_>,
-) -> Result<Option<Vec<usize>>, NestError> {
+) -> Result<Option<Triage>, NestError> {
     match analyze_nest_with_budget(nest, geometry, budget) {
         Ok(a) if a.verdict.is_conflict_free() => Ok(None),
         Ok(a) => {
-            let mut v: Vec<usize> = a
+            let mut implicated: Vec<usize> = a
                 .proofs
                 .iter()
                 .filter(|p| !p.free)
@@ -234,13 +238,48 @@ fn implicated_refs(
                     Component::Pair { a, b } => vec![a, b],
                 })
                 .collect();
-            v.sort_unstable();
-            v.dedup();
-            Ok(Some(v))
+            implicated.sort_unstable();
+            implicated.dedup();
+            let proofs = a.fallback_reasons.is_empty().then_some(a.proofs);
+            Ok(Some(Triage { implicated, proofs }))
         }
         Err(NestError::Cancelled) => Err(NestError::Cancelled),
-        Err(_) => Ok(Some((0..nest.refs.len()).collect())),
+        Err(_) => Ok(Some(Triage {
+            implicated: (0..nest.refs.len()).collect(),
+            proofs: None,
+        })),
     }
+}
+
+/// True when `fixed`, an edit of `nest` under the original geometry, is
+/// conflict-free. A component whose references the edit left unchanged
+/// keeps its triage outcome, because an outcome depends only on the
+/// references and the geometry: if one conflicted, the candidate fails
+/// without an analysis, and otherwise only the components with a changed
+/// reference are decided.
+fn is_free_edit(
+    nest: &LoopNest,
+    fixed: &LoopNest,
+    geometry: &Geometry,
+    triage: &Triage,
+    budget: &NestBudget<'_>,
+) -> Result<bool, NestError> {
+    // Without reusable outcomes, every reference counts as changed.
+    let changed: Vec<bool> = nest
+        .refs
+        .iter()
+        .zip(&fixed.refs)
+        .map(|(before, after)| triage.proofs.is_none() || before != after)
+        .collect();
+    let touched = |component: Component| match component {
+        Component::Within { r } => changed[r],
+        Component::Pair { a, b } => changed[a] || changed[b],
+    };
+    let known = triage.proofs.iter().flatten();
+    if known.filter(|p| !touched(p.component)).any(|p| !p.free) {
+        return Ok(false);
+    }
+    free_or_skip(is_free_among(fixed, geometry, budget, &touched))
 }
 
 /// Generates the full candidate frontier. Pure — no analysis runs here;
@@ -323,7 +362,9 @@ fn certificate(
 }
 
 /// Analyzes one candidate to a verified certificate (or `None` when the
-/// candidate does not render the nest conflict-free).
+/// candidate does not render the nest conflict-free). A pad or a shrink
+/// reuses the triage's outcomes ([`is_free_edit`]); a geometry change
+/// touches every component, so it is analyzed afresh.
 ///
 /// # Errors
 ///
@@ -333,14 +374,17 @@ fn evaluate(
     nest: &LoopNest,
     geometry: &Geometry,
     candidate: Candidate,
+    triage: &Triage,
     budget: &NestBudget<'_>,
 ) -> Result<Option<Certificate>, NestError> {
+    let is_free = |fixed: &LoopNest| is_free_edit(nest, fixed, geometry, triage, budget);
+    let is_free_under = |g: &Geometry| free_or_skip(is_conflict_free_with_budget(nest, g, budget));
     match candidate {
         Candidate::Pad { ld, delta } => {
             let Some(fixed) = pad_nest(nest, ld, delta) else {
                 return Ok(None);
             };
-            if !is_free(&fixed, geometry, budget)? {
+            if !is_free(&fixed)? {
                 return Ok(None);
             }
             let fix = Fix::PadLeadingDim {
@@ -356,7 +400,7 @@ fn evaluate(
             }
             // A trip of 1 neutralizes the dimension entirely; if even
             // that does not help, this site is not the problem.
-            if !is_free(&with_trip(nest, ref_index, dim, 1), geometry, budget)? {
+            if !is_free(&with_trip(nest, ref_index, dim, 1))? {
                 return Ok(None);
             }
             // Binary search the largest conflict-free trip in
@@ -366,7 +410,7 @@ fn evaluate(
             let (mut lo, mut hi) = (1u64, from - 1);
             while lo < hi {
                 let mid = lo + (hi - lo).div_ceil(2);
-                if is_free(&with_trip(nest, ref_index, dim, mid), geometry, budget)? {
+                if is_free(&with_trip(nest, ref_index, dim, mid))? {
                     lo = mid;
                 } else {
                     hi = mid - 1;
@@ -385,7 +429,7 @@ fn evaluate(
             let Ok(candidate_geometry) = Geometry::prime(exponent, geometry.line_words()) else {
                 return Ok(None);
             };
-            if !is_free(nest, &candidate_geometry, budget)? {
+            if !is_free_under(&candidate_geometry)? {
                 return Ok(None);
             }
             let fix = Fix::SwitchToPrime { exponent };
@@ -401,7 +445,7 @@ fn evaluate(
             let Ok(candidate_geometry) = Geometry::prime(to, geometry.line_words()) else {
                 return Ok(None);
             };
-            if !is_free(nest, &candidate_geometry, budget)? {
+            if !is_free_under(&candidate_geometry)? {
                 return Ok(None);
             }
             let fix = Fix::BumpExponent { from, to };
@@ -492,15 +536,15 @@ pub fn plan_with_budget(
     weights: &CostWeights,
     budget: &NestBudget<'_>,
 ) -> Result<Option<Plan>, NestError> {
-    let Some(implicated) = implicated_refs(nest, geometry, budget)? else {
+    let Some(triage) = triage(nest, geometry, budget)? else {
         return Ok(None);
     };
-    let cands = frontier(nest, geometry, max_pad, &implicated);
+    let cands = frontier(nest, geometry, max_pad, &triage.implicated);
     let mut survivors = Vec::new();
     let mut analyzed = 0u64;
     for (i, &c) in cands.iter().enumerate() {
         analyzed += 1;
-        if let Some(cert) = evaluate(nest, geometry, c, budget)? {
+        if let Some(cert) = evaluate(nest, geometry, c, &triage, budget)? {
             survivors.push((i, cert));
         }
     }
@@ -544,10 +588,10 @@ pub fn plan_parallel(
 ) -> Result<Option<Plan>, NestError> {
     let poll = || cancelled.is_some_and(|c| c());
     let hook: &dyn Fn() -> bool = &poll;
-    let Some(implicated) = implicated_refs(nest, geometry, &NestBudget::with_cancel(hook))? else {
+    let Some(triage) = triage(nest, geometry, &NestBudget::with_cancel(hook))? else {
         return Ok(None);
     };
-    let cands = frontier(nest, geometry, max_pad, &implicated);
+    let cands = frontier(nest, geometry, max_pad, &triage.implicated);
     let total = cands.len();
     let next = AtomicUsize::new(0);
     let aborted = AtomicBool::new(false);
@@ -571,7 +615,7 @@ pub fn plan_parallel(
                     if let Some(obs) = observer {
                         obs(&label, true);
                     }
-                    let outcome = evaluate(nest, geometry, cands[i], &budget);
+                    let outcome = evaluate(nest, geometry, cands[i], &triage, &budget);
                     if let Some(obs) = observer {
                         obs(&label, false);
                     }
@@ -864,6 +908,109 @@ mod tests {
             p.ranked[0].fix
         );
         assert_eq!(p.ranked[0].weights, cheap_hw);
+    }
+
+    #[test]
+    fn reused_triage_answers_like_a_fresh_check() {
+        use crate::{battery, nestsuite, suite::EXPONENT};
+        // The battery, and the canonical suite for nests with a leading
+        // dimension, so that pads are checked too.
+        let mut subjects: Vec<(LoopNest, u32, u64)> = battery::cases(0x5EED, 200)
+            .into_iter()
+            .map(|case| (case.nest, case.exponent, case.line_words))
+            .collect();
+        subjects.extend(
+            nestsuite::cases()
+                .into_iter()
+                .map(|case| (case.nest, EXPONENT, case.line_words)),
+        );
+        let budget = NestBudget::default();
+        let (mut checks, mut free, mut reused, mut pads) = (0, 0, 0, 0);
+        for (nest, exponent, line_words) in &subjects {
+            let pow2 = Geometry::pow2(1 << exponent, *line_words).unwrap();
+            let prime = Geometry::prime(*exponent, *line_words).unwrap();
+            for geometry in [pow2, prime] {
+                let Some(triage) = triage(nest, &geometry, &budget).unwrap() else {
+                    continue;
+                };
+                reused += usize::from(triage.proofs.is_some());
+                // Each pad and shrink nest the planner checks, the shrink
+                // search driven by the fresh answers.
+                let mut check = |fixed: &LoopNest| {
+                    let fresh =
+                        free_or_skip(is_conflict_free_with_budget(fixed, &geometry, &budget));
+                    let reuse = is_free_edit(nest, fixed, &geometry, &triage, &budget);
+                    assert_eq!(reuse, fresh, "{} under {geometry}: {fixed:?}", nest.name);
+                    checks += 1;
+                    free += usize::from(fresh == Ok(true));
+                    fresh.unwrap()
+                };
+                for c in frontier(nest, &geometry, DEFAULT_MAX_PAD, &triage.implicated) {
+                    match c {
+                        Candidate::Pad { ld, delta } => {
+                            check(&pad_nest(nest, ld, delta).unwrap());
+                            pads += 1;
+                        }
+                        Candidate::Shrink { ref_index, dim } => {
+                            let from = nest.refs[ref_index].terms[dim].trip;
+                            if !check(&with_trip(nest, ref_index, dim, 1)) {
+                                continue;
+                            }
+                            let (mut lo, mut hi) = (1u64, from - 1);
+                            while lo < hi {
+                                let mid = lo + (hi - lo).div_ceil(2);
+                                if check(&with_trip(nest, ref_index, dim, mid)) {
+                                    lo = mid;
+                                } else {
+                                    hi = mid - 1;
+                                }
+                            }
+                        }
+                        Candidate::Switch { .. } | Candidate::Bump { .. } => {}
+                    }
+                }
+            }
+        }
+        // Both answers are exercised, and most triages are reusable.
+        assert!(free > 100 && checks - free > 100, "{free} of {checks} free");
+        assert!(
+            reused > 100 && pads > 100,
+            "{reused} reusable triages, {pads} pads"
+        );
+    }
+
+    #[test]
+    fn each_component_is_decided_once() {
+        // Under 32 sets: reference 0 (lines 0, 8, …, 56) collides with
+        // itself, references 1 and 2 (two lines each, 320 apart) collide
+        // with each other, and every other component is free. Each of the
+        // three shrinks leaves a conflicting component untouched, so none
+        // is decided again. What is decided, one poll each: the triage's
+        // six components, four under 2^5 − 1 sets (up to the first
+        // conflict, pair 0–1) and six under each of the other switches.
+        let refs = vec![
+            AffineRef::new(0, vec![term(64, 8)], 0),
+            AffineRef::new(8 * 1001, vec![term(1, 16)], 1),
+            AffineRef::new(8 * 1321, vec![term(1, 16)], 2),
+        ];
+        let nest = LoopNest::new("three-refs", refs);
+        let geometry = Geometry::pow2(32, 8).unwrap();
+        let polls = AtomicUsize::new(0);
+        let count = || {
+            polls.fetch_add(1, Ordering::Relaxed);
+            false
+        };
+        let p = plan_with_budget(
+            &nest,
+            &geometry,
+            DEFAULT_MAX_PAD,
+            &CostWeights::default(),
+            &NestBudget::with_cancel(&count),
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!((p.candidates, p.analyzed), (8, 8), "{p:?}");
+        assert_eq!(polls.load(Ordering::Relaxed), 6 + 4 + 4 * 6, "{p:?}");
     }
 
     #[test]

@@ -37,6 +37,11 @@ use crate::plan::{plan_with_budget, CostWeights, Plan};
 /// Largest padding delta tried by default.
 pub const DEFAULT_MAX_PAD: u64 = 64;
 
+/// Largest padding delta a served request may ask the planner to try.
+/// The frontier holds one candidate per delta, built before the budget
+/// is first polled, so an unbounded `max_pad` is an unbounded allocation.
+pub const MAX_PAD_BOUND: u64 = 4096;
+
 /// A single repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Fix {

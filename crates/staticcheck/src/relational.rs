@@ -714,7 +714,9 @@ impl PairDecider {
     /// combinations whose total difference is ≡ 0 (mod S), the extreme
     /// achievable values tell whether any is nonzero. The tables are
     /// built once per signature (budget-charged) and shared by every
-    /// pair; a witness is reconstructed only when a conflict is found.
+    /// pair. A witness is backtracked only when a conflict is found: from
+    /// the levels of the build when this query triggered it, by refolding
+    /// otherwise. The levels are dropped with this query either way.
     fn dp_decide(
         &mut self,
         d: i128,
@@ -726,7 +728,8 @@ impl PairDecider {
         if self.dp.is_none() {
             self.dp = Some(ResidueDp::build(&self.merged, sets, budget));
         }
-        let dp = self.dp.as_ref()?.as_ref()?;
+        let dp = self.dp.as_mut()?.as_mut()?;
+        let levels = std::mem::take(&mut dp.levels);
         let r = usize::try_from((-d).rem_euclid(i128::from(sets))).ok()?;
         let vmax = dp.max[r];
         if vmax == i128::MIN {
@@ -741,7 +744,11 @@ impl PairDecider {
             // The only residue-0 combination is the zero difference.
             return Some(RelOutcome::Free(Rule::CosetSeparated));
         };
-        let ys = ResidueDp::reconstruct(&self.merged, sets, r, target, use_max)?;
+        let ys = if levels.is_empty() {
+            ResidueDp::reconstruct(&self.merged, sets, r, target, use_max)?
+        } else {
+            ResidueDp::backtrack(&levels, &self.merged, sets, r, target, use_max)?
+        };
         Some(self.witness(&ys, base_a, base_b))
     }
 
@@ -769,11 +776,17 @@ struct ResidueDp {
     max: Vec<i128>,
     /// `i128::MAX` = residue unreachable.
     min: Vec<i128>,
+    /// The tables before each merged dimension, which a backtrack reads:
+    /// filled by the build and taken by the query that triggered it, so
+    /// a decider keeps only its final tables.
+    levels: Vec<Tables>,
 }
+
+/// One level's `(max, min)` tables, indexed by residue.
+type Tables = (Vec<i128>, Vec<i128>);
 
 impl ResidueDp {
     fn build(merged: &[MergedDim], sets: u64, budget: &mut u128) -> Option<Self> {
-        let s = usize::try_from(sets).ok()?;
         if sets > MAX_DP_SETS {
             return None;
         }
@@ -784,18 +797,24 @@ impl ResidueDp {
             return None;
         }
         *budget -= cost;
-        let mut cur = Self::start(s);
+        let mut levels = Self::fold_levels(merged, sets)?;
+        let (max, min) = levels.pop()?;
+        Some(Self { max, min, levels })
+    }
+
+    /// The tables before each of `merged`'s dimensions and after the
+    /// last: `merged.len() + 1` levels.
+    fn fold_levels(merged: &[MergedDim], sets: u64) -> Option<Vec<Tables>> {
+        let mut levels = vec![Self::start(usize::try_from(sets).ok()?)];
         for md in merged {
-            cur = Self::fold(&cur, md, sets);
+            let next = Self::fold(levels.last()?, md, sets);
+            levels.push(next);
         }
-        Some(Self {
-            max: cur.0,
-            min: cur.1,
-        })
+        Some(levels)
     }
 
     /// The empty-prefix tables: value 0 at residue 0.
-    fn start(s: usize) -> (Vec<i128>, Vec<i128>) {
+    fn start(s: usize) -> Tables {
         let mut max = vec![i128::MIN; s];
         let mut min = vec![i128::MAX; s];
         max[0] = 0;
@@ -814,7 +833,7 @@ impl ResidueDp {
     /// the cycle length land on the same residue and `C > 0`, so only the
     /// top cycle-length values of `y` can give a max and only the bottom
     /// ones a min — no window is longer than its cycle.
-    fn fold(prev: &(Vec<i128>, Vec<i128>), md: &MergedDim, sets: u64) -> (Vec<i128>, Vec<i128>) {
+    fn fold(prev: &Tables, md: &MergedDim, sets: u64) -> Tables {
         let s = prev.0.len();
         let c = md.coeff % sets;
         // c = 0 gives S cycles of one residue each.
@@ -870,11 +889,7 @@ impl ResidueDp {
     /// (`Σ range·S`): the oracle the O(S) [`ResidueDp::fold`] is tested
     /// against.
     #[cfg(test)]
-    fn fold_by_range(
-        prev: &(Vec<i128>, Vec<i128>),
-        md: &MergedDim,
-        sets: u64,
-    ) -> (Vec<i128>, Vec<i128>) {
+    fn fold_by_range(prev: &Tables, md: &MergedDim, sets: u64) -> Tables {
         let s = prev.0.len();
         let mut max = vec![i128::MIN; s];
         let mut min = vec![i128::MAX; s];
@@ -898,10 +913,8 @@ impl ResidueDp {
         (max, min)
     }
 
-    /// Backtracks one extreme combination achieving `target` at final
-    /// residue `r_final`. Extremality makes the backtrack exact: at
-    /// each level the predecessor value must itself be that level's
-    /// extreme for its residue.
+    /// [`ResidueDp::backtrack`] from levels refolded for it: all but
+    /// the last dimension, whose output the backtrack does not read.
     fn reconstruct(
         merged: &[MergedDim],
         sets: u64,
@@ -909,17 +922,28 @@ impl ResidueDp {
         target: i128,
         use_max: bool,
     ) -> Option<Vec<i128>> {
+        let levels = Self::fold_levels(&merged[..merged.len().saturating_sub(1)], sets)?;
+        Self::backtrack(&levels, merged, sets, r_final, target, use_max)
+    }
+
+    /// Backtracks one extreme combination achieving `target` at final
+    /// residue `r_final`, reading `levels[k]`, the tables before
+    /// dimension `k`. Extremality makes the backtrack exact: at each
+    /// level the predecessor value must itself be that level's extreme
+    /// for its residue.
+    fn backtrack(
+        levels: &[Tables],
+        merged: &[MergedDim],
+        sets: u64,
+        r_final: usize,
+        target: i128,
+        use_max: bool,
+    ) -> Option<Vec<i128>> {
         let s = usize::try_from(sets).ok()?;
-        // The tables before each dimension; the final ones are not needed.
-        let mut levels = vec![Self::start(s)];
-        for md in &merged[..merged.len().saturating_sub(1)] {
-            let next = Self::fold(levels.last()?, md, sets);
-            levels.push(next);
-        }
         let mut ys = vec![0i128; merged.len()];
         let (mut r, mut v) = (r_final, target);
         for (k, md) in merged.iter().enumerate().rev() {
-            let prev = &levels[k];
+            let prev = levels.get(k)?;
             let mut found = false;
             let mut y = md.lo;
             while y <= md.hi {
@@ -1494,6 +1518,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn kept_levels_backtrack_like_a_refold() {
+        let mut next = rng(0x1E_7E15);
+        let (mut backtracks, mut conflicts, mut frees) = (0, 0, 0);
+        for sets in [31u64, 32, 127, 8191, 8192] {
+            for _ in 0..12 {
+                // A random class pair of one to three dimensions a side,
+                // strides sharing factors with S or not, widths past the
+                // short cycles: its merged box as the decider builds it.
+                let (na, nb) = (1 + next(3), next(3));
+                let mut side = |n: u64| -> DimSignature {
+                    (0..n)
+                        .map(|_| {
+                            let coeff = match next(3) {
+                                0 => (sets / (1 + next(8))).max(1),
+                                _ => 1 + next(3 * sets),
+                            };
+                            (coeff, 2 + next(60))
+                        })
+                        .collect()
+                };
+                let dims = (side(na), side(nb));
+                let merged = PairDecider::build(&dims.0, &dims.1).merged;
+                let mut budget = COMPONENT_WORK_BUDGET;
+                let dp = ResidueDp::build(&merged, sets, &mut budget).unwrap();
+                assert_eq!(dp.levels.len(), merged.len());
+                let s = usize::try_from(sets).unwrap();
+                for r in (0..s).step_by(s / 7 + 1) {
+                    if dp.max[r] == i128::MIN {
+                        continue;
+                    }
+                    for (target, use_max) in [(dp.max[r], true), (dp.min[r], false)] {
+                        let kept =
+                            ResidueDp::backtrack(&dp.levels, &merged, sets, r, target, use_max);
+                        let refold = ResidueDp::reconstruct(&merged, sets, r, target, use_max);
+                        assert!(kept.is_some(), "S={sets} {dims:?} r={r}");
+                        assert_eq!(kept, refold, "S={sets} {dims:?} r={r}");
+                        backtracks += 1;
+                    }
+                }
+                // Through the decider: the query that builds the tables
+                // backtracks from their levels and drops them, and the
+                // same query again refolds to the same answer.
+                for _ in 0..6 {
+                    let d = i128::from(next(4 * sets)) - 2 * i128::from(sets);
+                    let base_a = 1u64 << 40;
+                    let base_b = base_a
+                        .checked_add_signed(i64::try_from(d).unwrap())
+                        .unwrap();
+                    let mut decider = PairDecider::build(&dims.0, &dims.1);
+                    let mut budget = COMPONENT_WORK_BUDGET;
+                    let first = decider.dp_decide(d, sets, base_a, base_b, &mut budget);
+                    let held = decider.dp.as_ref().and_then(Option::as_ref).unwrap();
+                    assert!(held.levels.is_empty(), "S={sets} {dims:?}");
+                    let again = decider.dp_decide(d, sets, base_a, base_b, &mut budget);
+                    assert_eq!(first, again, "S={sets} {dims:?} d={d}");
+                    match first {
+                        Some(RelOutcome::Conflict(..)) => conflicts += 1,
+                        Some(RelOutcome::Free(_)) => frees += 1,
+                        other => panic!("S={sets} {dims:?} d={d}: {other:?}"),
+                    }
+                }
+            }
+        }
+        // Both outcomes are exercised.
+        assert!(backtracks > 400, "{backtracks} backtracks");
+        assert!(
+            conflicts > 20 && frees > 20,
+            "{conflicts} conflicts, {frees} free"
+        );
     }
 
     #[test]

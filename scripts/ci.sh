@@ -113,6 +113,12 @@ timeout --kill-after=10 900 bash -c '
     fi
 '
 
+# Benchmark smoke test: every perfbench workload at tiny size in both
+# trace modes, every declared metric with its unit and no file left
+# behind, so a change that breaks a path the benchmark drives fails here
+# rather than in a timed run.
+run 900 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Trace-overhead budget: instrumented analysis must stay within 1.5x of
 # the untraced fast path (and the phase observer must fire per phase,
 # never per enumeration step).

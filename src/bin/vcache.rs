@@ -37,7 +37,8 @@ USAGE:
   vcache simulate --cache <SPEC> --stride <S> --length <N> [--sweeps <K>] [--base <A>]
                   [--trace <FILE>]
       Run a strided vector through a cache simulator and print the stats.
-      With --trace, write one JSONL event per access to FILE.
+      With --trace, write one JSONL event per access to FILE. --length and
+      --sweeps (default 2) must be at least 1.
       <SPEC> is one of:
         prime:<c>          2^c - 1 lines, prime-mapped (c in {2,3,5,7,13,17,19,31})
         direct:<lines>     direct-mapped, power-of-two lines
@@ -49,7 +50,9 @@ USAGE:
   vcache compare --tm <T> [--blocking <B>] [--pds <F>] [--pstride1 <F>] [--trace <FILE>]
       Evaluate the paper's analytical model for all three machine models.
       With --trace, also run the trace-driven machine simulators on a
-      matching VCM program and write their event streams to FILE.
+      matching VCM program and write their event streams to FILE. --tm
+      takes 1 to 1024 cycles (the paper sweeps 4 to 64); --blocking
+      (default 4096) takes 1 to 1048576 elements, the model's problem size.
   vcache analyze --trace <FILE> [--window <W>] [--top <N>]
       Read a JSONL trace and print per-stream miss timelines (one row per
       W-access window), bank occupancy, and the top N conflicting sets.
@@ -340,17 +343,26 @@ fn get_or<T: std::str::FromStr>(
     }
 }
 
-/// [`get_or`] for a count that must be at least 1.
-fn get_positive<T: std::str::FromStr + Default + PartialEq>(
+/// A count flag: [`get`] when `default` is `None`, [`get_or`] otherwise.
+/// A count is at least 1 and, when `max` is given, at most `max`; a value
+/// outside that fails naming the flag and its range.
+fn get_count<T: std::str::FromStr + PartialOrd + From<u8> + fmt::Display>(
     flags: &HashMap<String, String>,
     name: &str,
-    default: T,
+    default: Option<T>,
+    max: Option<T>,
 ) -> Result<T, String> {
-    let value = get_or(flags, name, default)?;
-    if value == T::default() {
-        return Err(format!("--{name} must be at least 1"));
+    let value = match default {
+        Some(default) => get_or(flags, name, default)?,
+        None => get(flags, name)?,
+    };
+    match max {
+        Some(max) if value < T::from(1) || value > max => {
+            Err(format!("--{name} must be between 1 and {max}, got {value}"))
+        }
+        None if value < T::from(1) => Err(format!("--{name} must be at least 1, got {value}")),
+        _ => Ok(value),
     }
-    Ok(value)
 }
 
 /// [`get_or`] for a probability: a value in [0, 1], so never NaN.
@@ -390,8 +402,8 @@ fn build_cache(spec: &str) -> Result<CacheSim, String> {
 fn simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let spec: String = get(flags, "cache")?;
     let stride: u64 = get(flags, "stride")?;
-    let length: u64 = get(flags, "length")?;
-    let sweeps: u64 = get_or(flags, "sweeps", 2)?;
+    let length = get_count(flags, "length", None, None)?;
+    let sweeps = get_count(flags, "sweeps", Some(2), None)?;
     let base: u64 = get_or(flags, "base", 0)?;
     let mut cache = build_cache(&spec)?;
     match flags.get("trace") {
@@ -433,11 +445,8 @@ fn modulus_from(flags: &HashMap<String, String>) -> Result<MersenneModulus, Stri
 }
 
 fn plan_subblock(flags: &HashMap<String, String>) -> Result<(), String> {
-    let p: u64 = get(flags, "rows")?;
+    let p = get_count(flags, "rows", None, None)?;
     let modulus = modulus_from(flags)?;
-    if p == 0 {
-        return Err("--rows must be positive".into());
-    }
     let plan = conflict_free_subblock(p, u64::MAX, modulus);
     outln!(
         "P = {p}, C = {}: b1 = {}, b2 = {} ({} elements, utilization {:.4})",
@@ -471,21 +480,26 @@ fn plan_fft_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
+/// Largest memory access time `compare` models, in cycles: far past the
+/// paper's 4 to 64-cycle sweep, and still a fast evaluation.
+const MAX_TM: u64 = 1024;
+
+/// The analytical model's problem size in elements; no blocking factor
+/// is larger than the problem it blocks.
+const MODEL_ELEMENTS: u64 = 1 << 20;
+
 fn compare(flags: &HashMap<String, String>) -> Result<(), String> {
-    let t_m: u64 = get(flags, "tm")?;
-    let b: u64 = get_or(flags, "blocking", 4096)?;
+    let t_m = get_count(flags, "tm", None, Some(MAX_TM))?;
+    let b = get_count(flags, "blocking", Some(4096), Some(MODEL_ELEMENTS))?;
     let p_ds = get_probability(flags, "pds", 0.1)?;
     let p1 = get_probability(flags, "pstride1", 0.25)?;
-    if t_m == 0 || b == 0 {
-        return Err("--tm and --blocking must be positive".into());
-    }
     let machine = Machine {
         mvl: 64,
         banks: 64,
         t_m,
         cache_lines: 8192,
     };
-    let n = 1u64 << 20;
+    let n = MODEL_ELEMENTS;
     let mm = cycles_per_result(
         &machine,
         &Workload::random_strides(n, b, p_ds, p1, machine.banks),
@@ -567,11 +581,8 @@ fn compare_traced(path: &str, t_m: u64, b: u64, p_ds: f64, p1: f64) -> Result<()
 
 fn analyze_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let path: String = get(flags, "trace")?;
-    let window: u64 = get_or(flags, "window", 1024)?;
+    let window = get_count(flags, "window", Some(1024), None)?;
     let top: usize = get_or(flags, "top", 10)?;
-    if window == 0 {
-        return Err("--window must be positive".into());
-    }
     let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let (events, errors) = analyze::read_jsonl(BufReader::new(file))
         .map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -697,16 +708,12 @@ fn serve_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String>
         Some(spec) => FaultPlan::parse(spec)?,
         None => FaultPlan::none(),
     };
-    let workers = get_positive(flags, "workers", 4)?;
-    if workers > MAX_WORKERS {
-        return Err(format!("--workers must be at most {MAX_WORKERS}"));
-    }
     Ok(ServerConfig {
         addr: get_or(flags, "addr", "127.0.0.1:0".to_string())?,
         unix_path: flags.get("unix").map(std::path::PathBuf::from),
-        workers,
-        queue_capacity: get_positive(flags, "queue", 64)?,
-        default_deadline_ms: get_positive(flags, "deadline-ms", 10_000)?,
+        workers: get_count(flags, "workers", Some(4), Some(MAX_WORKERS))?,
+        queue_capacity: get_count(flags, "queue", Some(64), None)?,
+        default_deadline_ms: get_count(flags, "deadline-ms", Some(10_000), None)?,
         retry_after_ms: get_or(flags, "retry-after-ms", 50)?,
         fault_plan,
         root: get_or(flags, "root", ".".to_string())?.into(),

@@ -92,6 +92,33 @@ fn out_of_range_flags_fail_naming_them() {
             "--pds must be",
         ),
         (&["compare", "--tm", "32", "--pds", "nan"], "--pds must be"),
+        (&["compare", "--tm", "0"], "--tm must be between 1 and 1024"),
+        (
+            &["compare", "--tm", "1025"],
+            "--tm must be between 1 and 1024",
+        ),
+        (&["compare", "--tm", "99999999999"], "--tm must be"),
+        (
+            &["compare", "--tm", "32", "--blocking", "0"],
+            "--blocking must be between 1 and 1048576",
+        ),
+        (
+            &["compare", "--tm", "32", "--blocking", "99999999999"],
+            "--blocking must be between 1 and 1048576",
+        ),
+        (
+            &[
+                "simulate", "--cache", "prime:13", "--stride", "8", "--length", "0",
+            ],
+            "--length must be at least 1, got 0",
+        ),
+        (
+            &[
+                "simulate", "--cache", "prime:13", "--stride", "8", "--length", "16", "--sweeps",
+                "0",
+            ],
+            "--sweeps must be at least 1, got 0",
+        ),
         (
             &["compare", "--tm", "32", "--pstride1", "-1"],
             "--pstride1 must be",
