@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
 use vcache_check::{
-    analyze_nest_with_budget, plan_parallel, run_check_observed, CheckError, CheckOptions,
+    analyze_nest_with_budget, plan_with_budget, run_check_observed, CheckError, CheckOptions,
     CostWeights, LoopNest, NestBudget, NestError, DEFAULT_MAX_PAD, MAX_PAD_BOUND,
 };
 use vcache_trace::analyze;
@@ -155,9 +155,6 @@ struct Shared {
     default_deadline: Duration,
     retry_after_ms: u64,
     root: PathBuf,
-    /// Worker-pool size; also the width of the planner's internal
-    /// candidate fan-out on the `analyze_nest --prescribe` batch path.
-    workers: usize,
     started: Instant,
     /// Slow-request log threshold (`None` disables).
     slow_request: Option<Duration>,
@@ -243,7 +240,6 @@ impl Server {
             default_deadline: Duration::from_millis(config.default_deadline_ms.max(1)),
             retry_after_ms: config.retry_after_ms,
             root: config.root,
-            workers: config.workers.max(1),
             started: Instant::now(),
             slow_request: match config.slow_request_ms {
                 0 => None,
@@ -783,12 +779,13 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// A stack of phase spans driven by the `(phase, begin)` observer
-/// callbacks of [`NestBudget`] and `run_check_observed`: each `begin`
-/// opens a child of the deepest open phase (or of the handler's span),
-/// so nested phases — `prescribe` re-running the analyzer, say — nest in
-/// the tree exactly as they nested in time. The observers guarantee
-/// balance on success *and* error; [`PhaseSpans::drain`] is the
-/// belt-and-braces close for anything still open on an error path.
+/// callbacks of [`NestBudget`], `run_check_observed` and the planner:
+/// each `begin` opens a child of the deepest open phase (or of the
+/// parent span), so nested phases nest in the tree exactly as they
+/// nested in time. The phase observers guarantee balance on success
+/// *and* error; the planner leaves the candidate a cancellation
+/// interrupted open, and [`PhaseSpans::drain`] closes whatever is still
+/// open on an error path with that path's status.
 struct PhaseSpans<'a> {
     parent: &'a SpanHandle,
     stack: RefCell<Vec<SpanHandle>>,
@@ -1022,23 +1019,20 @@ fn op_analyze_nest(
         .count("serve.enumerated_lines", analysis.enumerated_lines);
     let mut pairs = vec![("analysis".to_string(), analysis.to_value())];
     if want_prescription && !analysis.verdict.is_conflict_free() {
-        // The planner analyzes every candidate repair; the batch path
-        // fans those analyses across a thread pool as wide as the
-        // daemon's worker pool, with one child span per candidate under
-        // the `prescribe` span.
+        // The planner checks every candidate repair on this worker,
+        // starting from the analysis above, with one child span per
+        // candidate under the `prescribe` span.
         let prescribe_span = span.child("prescribe");
-        let candidates = CandidateSpans::new(prescribe_span.context());
-        let weights = CostWeights::default();
+        let candidates = PhaseSpans::new(&prescribe_span);
         let outcome = {
             let cancelled = move || Instant::now() >= deadline;
             let obs = |label: &str, begin: bool| candidates.observe(label, begin);
-            plan_parallel(
+            plan_with_budget(
                 &nest,
                 &geometry,
+                Some(&analysis),
                 max_pad,
-                &weights,
-                shared.workers,
-                Some(&cancelled),
+                &NestBudget::with_cancel(&cancelled),
                 Some(&obs),
             )
         };
@@ -1068,7 +1062,7 @@ fn op_analyze_nest(
                         ("candidates".into(), Value::U64(frontier)),
                         ("analyzed".into(), Value::U64(analyzed)),
                         ("ranked".into(), Value::U64(ranked_count)),
-                        ("weights".into(), weights.to_value()),
+                        ("weights".into(), CostWeights::default().to_value()),
                     ]),
                 ));
             }
@@ -1085,45 +1079,6 @@ fn op_analyze_nest(
         }
     }
     Ok(Value::Obj(pairs))
-}
-
-/// Per-candidate child spans for the planner's parallel batch path.
-/// Candidate labels are unique within one plan, so a label-keyed map
-/// pairs each begin with its end even when the callbacks arrive from
-/// different pool threads.
-struct CandidateSpans {
-    ctx: SpanContext,
-    open: Mutex<BTreeMap<String, SpanHandle>>,
-}
-
-impl CandidateSpans {
-    fn new(ctx: SpanContext) -> Self {
-        Self {
-            ctx,
-            open: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn observe(&self, label: &str, begin: bool) {
-        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
-        if begin {
-            open.insert(label.to_owned(), self.ctx.child(label));
-        } else if let Some(span) = open.remove(label) {
-            span.finish("ok");
-        }
-    }
-
-    /// Closes any candidate still open (a cancelled plan abandons its
-    /// in-flight analyses) with `status`.
-    fn drain(self, status: &str) {
-        let open = self
-            .open
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (_, span) in open {
-            span.finish(status);
-        }
-    }
 }
 
 fn nest_error(e: NestError) -> ErrorBody {

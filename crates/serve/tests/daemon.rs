@@ -7,8 +7,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::{Serialize, Value};
-use vcache_check::{AffineRef, LoopNest, Term};
-use vcache_serve::protocol::{ErrorCode, Request, Response};
+use vcache_check::{AffineRef, LoopNest, Term, MAX_PAD_BOUND};
+use vcache_serve::protocol::{ErrorCode, GeometrySpec, Request, Response};
 use vcache_serve::{Client, FaultPlan, RetryPolicy, Server, ServerConfig};
 
 /// Boots a daemon on an ephemeral port; returns (addr, shutdown handle,
@@ -462,7 +462,8 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
         ..ServerConfig::default()
     });
 
-    // One cooperative cancellation, one clean analysis, one inline op.
+    // One cooperative cancellation, one clean analysis, one clean and
+    // one cancelled plan, one inline op.
     let response = raw_call(&addr, &nest_params(&slow_nest(), Some(200)));
     assert_eq!(
         response.outcome.unwrap_err().code,
@@ -471,6 +472,21 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
     raw_call(&addr, &nest_params(&fast_nest(), Some(5_000)))
         .outcome
         .expect("fast nest should analyze");
+    let mut planned = plan_params(&pow2_stride_nest(), pow2(8192, 8), None);
+    planned.id = 11;
+    let result = raw_call(&addr, &planned)
+        .outcome
+        .expect("stride nest should plan");
+    let analyzed = match result.get("plan").and_then(|p| p.get("analyzed")) {
+        Some(Value::U64(n)) => *n,
+        other => panic!("no plan.analyzed in the result: {other:?}"),
+    };
+    let mut cancelled_plan = planner_slow_params();
+    cancelled_plan.id = 12;
+    assert_eq!(
+        raw_call(&addr, &cancelled_plan).outcome.unwrap_err().code,
+        ErrorCode::DeadlineExceeded
+    );
     raw_call(&addr, &Request::new(1, "ping"))
         .outcome
         .expect("ping");
@@ -521,7 +537,7 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
     // the interrupted enumeration phase still closed (balanced observer).
     let cancelled_root = spans
         .iter()
-        .find(|s| s.is_root() && s.status == "deadline_exceeded")
+        .find(|s| s.is_root() && s.status == "deadline_exceeded" && s.req_id == Some(42))
         .expect("cancelled analyze_nest root");
     let in_tree = |label: &str| {
         spans
@@ -543,6 +559,53 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
         "{text}"
     );
 
+    // A served plan: one child of `prescribe` per analyzed candidate, in
+    // frontier order, named by its label and closed `ok`.
+    let prescribe_of = |req_id: u64| {
+        let root = spans
+            .iter()
+            .find(|s| s.is_root() && s.req_id == Some(req_id))
+            .unwrap_or_else(|| panic!("no root for request {req_id}: {text}"));
+        let prescribe = spans
+            .iter()
+            .find(|s| s.request == root.request && s.label == "prescribe")
+            .unwrap_or_else(|| panic!("no prescribe span for request {req_id}: {text}"));
+        let mut candidates: Vec<&vcache_trace::SpanRecord> = spans
+            .iter()
+            .filter(|s| s.parent == Some(prescribe.span))
+            .collect();
+        candidates.sort_by_key(|s| s.start_us);
+        (root, prescribe, candidates)
+    };
+    let (root, prescribe, candidates) = prescribe_of(11);
+    assert_eq!(
+        (root.status.as_str(), prescribe.status.as_str()),
+        ("ok", "ok")
+    );
+    let labels: Vec<(&str, &str)> = candidates
+        .iter()
+        .map(|s| (s.label.as_str(), s.status.as_str()))
+        .collect();
+    assert_eq!(
+        labels,
+        [
+            ("shrink-r0d0", "ok"),
+            ("switch-2^13", "ok"),
+            ("switch-2^17", "ok"),
+            ("switch-2^19", "ok")
+        ]
+    );
+    assert_eq!(candidates.len() as u64, analyzed);
+
+    // A plan the deadline cancelled: `prescribe` and the candidate it was
+    // checking close `cancelled`; every earlier candidate closed `ok`.
+    let (root, prescribe, candidates) = prescribe_of(12);
+    assert_eq!(root.status, "deadline_exceeded");
+    assert_eq!(prescribe.status, "cancelled");
+    let (last, done) = candidates.split_last().expect("a candidate was checked");
+    assert_eq!(last.status, "cancelled", "{text}");
+    assert!(done.iter().all(|s| s.status == "ok"), "{text}");
+
     // Inline ops span too, without touching the queue.
     let ping_root = spans
         .iter()
@@ -561,23 +624,11 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
 
 /// Builds an `analyze_nest` request with the planner enabled and an
 /// optional explicit padding frontier.
-fn plan_params(
-    nest: &LoopNest,
-    geometry_sets: u64,
-    line_words: u64,
-    max_pad: Option<u64>,
-) -> Request {
+fn plan_params(nest: &LoopNest, geometry: GeometrySpec, max_pad: Option<u64>) -> Request {
     let mut request = Request::new(7, "analyze_nest");
     let mut params = vec![
         ("nest".to_string(), nest.to_value()),
-        (
-            "geometry".to_string(),
-            Value::Obj(vec![
-                ("kind".to_string(), Value::Str("pow2".into())),
-                ("sets".to_string(), Value::U64(geometry_sets)),
-                ("line_words".to_string(), Value::U64(line_words)),
-            ]),
-        ),
+        ("geometry".to_string(), geometry.to_value()),
         ("prescribe".to_string(), Value::Bool(true)),
     ];
     if let Some(pad) = max_pad {
@@ -586,6 +637,49 @@ fn plan_params(
     request.params = Value::Obj(params);
     request.deadline_ms = Some(30_000);
     request
+}
+
+fn pow2(sets: u64, line_words: u64) -> GeometrySpec {
+    GeometrySpec::Pow2 { sets, line_words }
+}
+
+/// Four odd strides over 24 iterations with a leading dimension of 3,
+/// under the 31-set prime mapper. Its analysis enumerates, but finishes
+/// in milliseconds; planned with every padding up to [`MAX_PAD_BOUND`],
+/// it checks 4,104 candidates, each enumerating, for over a minute. A
+/// deadline of seconds therefore fires inside the planner.
+fn planner_slow_params() -> Request {
+    let terms = [3, 5, 7, 9].map(|coeff| Term { coeff, trip: 24 });
+    let mut nest = LoopNest::new("planner-slow", vec![AffineRef::new(0, terms.to_vec(), 0)]);
+    nest.leading_dim = Some(3);
+    let geometry = GeometrySpec::Prime {
+        exponent: 5,
+        line_words: 8,
+    };
+    let mut request = plan_params(&nest, geometry, Some(MAX_PAD_BOUND));
+    request.deadline_ms = Some(PLANNER_DEADLINE_MS);
+    request
+}
+
+/// Deadline for [`planner_slow_params`]: the analysis takes about 6 ms in
+/// release and 130 ms in debug builds, the plan over a minute.
+const PLANNER_DEADLINE_MS: u64 = 2_000;
+
+/// The Eq. 8 headline nest: one shrink site plus three viable geometry
+/// switches under the 8192-set power-of-two mapper — a multi-kind
+/// ranking, decided without enumerating.
+fn pow2_stride_nest() -> LoopNest {
+    LoopNest::new(
+        "pow2-stride",
+        vec![AffineRef::new(
+            0,
+            vec![Term {
+                coeff: 4096,
+                trip: 8191,
+            }],
+            0,
+        )],
+    )
 }
 
 /// A 256-word leading dimension walked in whole-row steps under a
@@ -628,7 +722,7 @@ fn daemon_padding_frontier_default_matches_the_local_planner() {
 
     // Default frontier: the daemon must find the δ=16 pad, exactly as
     // the local planner does.
-    let response = raw_call(&addr, &plan_params(&nest, 16, 16, None));
+    let response = raw_call(&addr, &plan_params(&nest, pow2(16, 16), None));
     let result = response.outcome.expect("analyze_nest with prescribe");
     let served = result.get("certificate").expect("certificate in result");
     let local = plan(&nest, &geometry, DEFAULT_MAX_PAD)
@@ -650,7 +744,7 @@ fn daemon_padding_frontier_default_matches_the_local_planner() {
 
     // The old default, requested explicitly: no pad ≤ 8 works, so the
     // planner falls back to the expensive shrink — the bug this pins.
-    let response = raw_call(&addr, &plan_params(&nest, 16, 16, Some(8)));
+    let response = raw_call(&addr, &plan_params(&nest, pow2(16, 16), Some(8)));
     let result = response.outcome.expect("analyze_nest with max_pad=8");
     let served = result.get("certificate").expect("certificate in result");
     let fix = serde_json::to_string(served).unwrap();
@@ -668,10 +762,12 @@ fn daemon_padding_frontier_default_matches_the_local_planner() {
 /// otherwise build one candidate per delta up front.
 #[test]
 fn a_max_pad_past_the_bound_gets_bad_request() {
-    use vcache_check::MAX_PAD_BOUND;
     let (addr, handle, _metrics, runner) = boot(ServerConfig::default());
     for max_pad in [MAX_PAD_BOUND + 1, u64::MAX] {
-        let response = raw_call(&addr, &plan_params(&deep_pad_nest(), 16, 16, Some(max_pad)));
+        let response = raw_call(
+            &addr,
+            &plan_params(&deep_pad_nest(), pow2(16, 16), Some(max_pad)),
+        );
         match response.outcome {
             Err(body) => {
                 assert_eq!(body.code, ErrorCode::BadRequest, "{}", body.message);
@@ -684,7 +780,7 @@ fn a_max_pad_past_the_bound_gets_bad_request() {
     // The bound itself is accepted.
     let response = raw_call(
         &addr,
-        &plan_params(&deep_pad_nest(), 16, 16, Some(MAX_PAD_BOUND)),
+        &plan_params(&deep_pad_nest(), pow2(16, 16), Some(MAX_PAD_BOUND)),
     );
     assert!(response.outcome.is_ok(), "{response:?}");
     handle.trigger();
@@ -693,8 +789,7 @@ fn a_max_pad_past_the_bound_gets_bad_request() {
 
 /// The served ranking — best certificate, alternatives array, and plan
 /// counters — must be byte-identical to the local planner's, and stable
-/// across repeated requests: the daemon's parallel batch path may not
-/// reorder survivors.
+/// across repeated requests.
 #[test]
 fn served_ranking_is_deterministic_and_matches_local() {
     use vcache_check::{plan, prescribe::DEFAULT_MAX_PAD, Geometry};
@@ -703,26 +798,14 @@ fn served_ranking_is_deterministic_and_matches_local() {
         cache_capacity: 0, // exercise the planner on every request
         ..ServerConfig::default()
     });
-    // The Eq. 8 headline nest: one shrink site plus three viable
-    // geometry switches — a multi-kind ranking.
-    let nest = LoopNest::new(
-        "pow2-stride",
-        vec![AffineRef::new(
-            0,
-            vec![Term {
-                coeff: 4096,
-                trip: 8191,
-            }],
-            0,
-        )],
-    );
+    let nest = pow2_stride_nest();
     let geometry = Geometry::pow2(8192, 8).unwrap();
     let local = plan(&nest, &geometry, DEFAULT_MAX_PAD).expect("interfering nest plans");
     assert!(local.ranked.len() >= 2, "need a real ranking to compare");
 
     let mut served_results = Vec::new();
     for _ in 0..2 {
-        let response = raw_call(&addr, &plan_params(&nest, 8192, 8, None));
+        let response = raw_call(&addr, &plan_params(&nest, pow2(8192, 8), None));
         served_results.push(response.outcome.expect("analyze_nest with prescribe"));
     }
     assert_eq!(
@@ -779,25 +862,39 @@ fn served_ranking_is_deterministic_and_matches_local() {
     runner.join().unwrap();
 }
 
-/// A deadline expiring while the planner is enabled must surface as the
-/// typed deadline error with no partial ranking attached — the planner
-/// aborts the whole frontier rather than serving a truncated list.
+/// A deadline expiring inside the planner must surface as the typed
+/// deadline error with no partial ranking attached — the planner aborts
+/// the whole frontier rather than serving a truncated list.
 #[test]
 fn planner_deadline_yields_typed_error_and_no_partial_ranking() {
-    let (addr, handle, _metrics, runner) = boot(ServerConfig {
+    let (addr, handle, metrics, runner) = boot(ServerConfig {
         workers: 2,
         cache_capacity: 0,
         ..ServerConfig::default()
     });
-    let mut request = plan_params(&slow_nest(), 32, 8, None);
-    request.deadline_ms = Some(200);
-    let response = raw_call(&addr, &request);
+    let started = Instant::now();
+    let response = raw_call(&addr, &planner_slow_params());
+    let elapsed = started.elapsed();
     match response.outcome {
         Err(body) => {
             assert_eq!(body.code, ErrorCode::DeadlineExceeded, "{}", body.message);
         }
         Ok(v) => panic!("expected deadline_exceeded, got a (possibly partial) result: {v:?}"),
     }
+    // The analysis finished (it counts its enumerated lines before the
+    // planner starts), and no plan did.
+    let snapshot = metrics.snapshot();
+    assert!(
+        snapshot.counter("serve.enumerated_lines") > 0,
+        "{snapshot:?}"
+    );
+    assert_eq!(snapshot.counter("serve.plan.candidates"), 0);
+    // The response lands within a few candidate checks of the deadline,
+    // long before the full frontier would have.
+    assert!(
+        elapsed >= Duration::from_millis(PLANNER_DEADLINE_MS) && elapsed < Duration::from_secs(20),
+        "planner deadline response took {elapsed:?}"
+    );
     handle.trigger();
     runner.join().unwrap();
 }

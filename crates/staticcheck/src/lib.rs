@@ -18,14 +18,14 @@
 //! without simulating a single access. The committed [`suite`] pins
 //! canonical verdicts; drift is a `VC100` finding.
 //!
-//! **Layer 3** ([`nest`], [`absint`], [`relational`], [`prescribe`])
-//! lifts the analysis from flat traces to *affine loop nests*: an
-//! abstract interpreter decides every reference and reference pair with
-//! one relational procedure (difference intervals, congruence-class
-//! splitting, exact CRT and residue solvers), settling nests whose
-//! footprints are far too large to enumerate, and a prescriber searches
-//! minimal repairs (leading-dimension padding, trip shrinking, a
-//! Mersenne geometry change), emitting machine-checkable certificates. The
+//! **Layer 3** ([`nest`], [`absint`], [`relational`], [`plan`](mod@plan),
+//! [`prescribe`]) lifts the analysis from flat traces to *affine loop
+//! nests*: an abstract interpreter decides every reference and reference
+//! pair with one relational procedure (difference intervals,
+//! congruence-class splitting, exact CRT and residue solvers), settling
+//! nests whose footprints are far too large to enumerate, and a planner
+//! ranks repairs (leading-dimension padding, trip shrinking, a Mersenne
+//! geometry change) by cost, emitting machine-checkable certificates. The
 //! committed [`nestsuite`] pins canonical nest verdicts (`VC101` on
 //! drift) and demands a verifying certificate per interfering row
 //! (`VC102`).
@@ -83,10 +83,9 @@ pub use absint::{
 pub use conflict::{analyze_program, Geometry, ProgramAnalysis, Verdict};
 pub use lint::Finding;
 pub use nest::{AffineRef, LoopNest, Term};
-pub use plan::{plan, plan_parallel, plan_with_budget, CostModel, CostWeights, Plan};
+pub use plan::{plan, plan_with_budget, CostWeights, Plan};
 pub use prescribe::{
-    advise_switch_to_prime, prescribe, prescribe_with_budget, Advisory, Certificate, Fix,
-    DEFAULT_MAX_PAD, MAX_PAD_BOUND,
+    advise_switch_to_prime, Advisory, Certificate, Fix, DEFAULT_MAX_PAD, MAX_PAD_BOUND,
 };
 pub use probabilistic::{
     analyze_profile, monte_carlo, AccessProfile, CollisionModel, MonteCarlo, ProbVerdict,

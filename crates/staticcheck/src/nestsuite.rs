@@ -19,10 +19,10 @@ use vcache_core::blocking::{conflict_free_subblock, SubBlockPlan};
 use vcache_core::fft::plan_fft;
 use vcache_mersenne::MersenneModulus;
 
-use crate::absint::{analyze_nest, NestVerdict};
+use crate::absint::{analyze_nest, NestBudget, NestVerdict};
 use crate::lint::Finding;
 use crate::nest::{AffineRef, LoopNest, Term};
-use crate::plan::plan;
+use crate::plan::plan_with_budget;
 use crate::prescribe::{Certificate, DEFAULT_MAX_PAD};
 use crate::suite::{canonical_geometries, Expect, EXPONENT};
 
@@ -353,9 +353,18 @@ pub fn run(with_prescriptions: bool) -> NestSuiteRun {
                 ));
             }
             if with_prescriptions && !analysis.verdict.is_conflict_free() {
-                let ranked = plan(&case.nest, &geometry, DEFAULT_MAX_PAD)
-                    .map(|p| p.ranked)
-                    .unwrap_or_default();
+                let ranked = plan_with_budget(
+                    &case.nest,
+                    &geometry,
+                    Some(&analysis),
+                    DEFAULT_MAX_PAD,
+                    &NestBudget::default(),
+                    None,
+                )
+                .ok()
+                .flatten()
+                .map(|p| p.ranked)
+                .unwrap_or_default();
                 if ranked.is_empty() {
                     findings.push(Finding::gate(
                         "VC102",

@@ -5,10 +5,10 @@
 //! order (pad, shrink, switch) and returned the first fix that verified,
 //! the planner generates the **full candidate frontier** — every padding
 //! `δ ∈ 1..=max_pad`, every implicated-reference trip shrink, every
-//! supported geometry switch or exponent bump — analyzes every candidate
-//! under the caller's [`NestBudget`] (cancellation-safe: a fired budget
-//! aborts the whole plan, never a truncated ranking), and ranks the
-//! survivors under an explicit [`CostModel`]:
+//! supported geometry switch or exponent bump — checks every candidate on
+//! the calling thread under the caller's [`NestBudget`]
+//! (cancellation-safe: a fired budget aborts the whole plan, never a
+//! truncated ranking), and ranks the survivors by cost:
 //!
 //! * **Padding** costs wasted words: `δ × rows`, where `rows` is the
 //!   largest trip count the rewritten leading-dimension coefficient
@@ -19,12 +19,16 @@
 //!   delta between the old and new cache (a switch is never free — the
 //!   delta is floored at one set).
 //!
-//! The model's weights ([`CostWeights`]) are serialized into every
-//! [`Certificate`] alongside the candidate's cost, so a stored
+//! The weights of those prices ([`CostWeights`]) are serialized into
+//! every [`Certificate`] alongside the candidate's cost, so a stored
 //! certificate is auditable and re-rankable without re-running the
 //! planner. Rankings are deterministic: ties break on frontier position,
-//! and the parallel evaluator ([`plan_parallel`]) collects results by
-//! candidate index, so serve and local runs produce identical rankings.
+//! so serve and local runs produce identical rankings.
+//!
+//! [`plan_with_budget`] starts from the caller's analysis of the nest,
+//! which implicates the references a shrink may touch and settles every
+//! component a pad or a shrink leaves unchanged; [`plan`] analyzes the
+//! nest itself first.
 //!
 //! Dominated candidates are pruned from the ranking (not the frontier):
 //! all paddings share one repair site and their cost is strictly
@@ -33,15 +37,12 @@
 //! a "repair" is buying a vastly larger cache, not fixing the program
 //! (and no differential replay could validate it).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use serde::Serialize;
 use vcache_mersenne::MERSENNE_EXPONENTS;
 
 use crate::absint::{
-    analyze_nest_with_budget, is_conflict_free_with_budget, is_free_among, Component,
-    ComponentProof, NestBudget, NestError,
+    analyze_nest, is_conflict_free_with_budget, is_free_among, Component, ComponentProof,
+    NestAnalysis, NestBudget, NestError,
 };
 use crate::conflict::Geometry;
 use crate::nest::LoopNest;
@@ -78,18 +79,9 @@ impl Default for CostWeights {
     }
 }
 
-/// The explicit cost model: weights plus the per-fix pricing rules.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostModel {
-    /// The weights applied by [`CostModel::cost`].
-    pub weights: CostWeights,
-}
-
-impl CostModel {
+impl CostWeights {
     /// Prices `fix` against the *original* nest and geometry.
-    #[must_use]
-    pub fn cost(&self, fix: &Fix, nest: &LoopNest, original_sets: u64) -> f64 {
-        let w = &self.weights;
+    fn cost(&self, fix: &Fix, nest: &LoopNest, original_sets: u64) -> f64 {
         match *fix {
             Fix::PadLeadingDim { from, to } => {
                 let delta = to.saturating_sub(from);
@@ -103,18 +95,18 @@ impl CostModel {
                     .map(|t| t.trip)
                     .max()
                     .unwrap_or(1);
-                approx_f64(delta) * approx_f64(rows) * w.pad_word
+                approx_f64(delta) * approx_f64(rows) * self.pad_word
             }
             Fix::ShrinkTrip { from, to, .. } => {
                 if from == 0 {
                     0.0
                 } else {
-                    (approx_f64(from.saturating_sub(to)) / approx_f64(from)) * w.shrink_fraction
+                    (approx_f64(from.saturating_sub(to)) / approx_f64(from)) * self.shrink_fraction
                 }
             }
-            Fix::BumpExponent { to, .. } => geometry_delta(original_sets, to) * w.geometry_set,
+            Fix::BumpExponent { to, .. } => geometry_delta(original_sets, to) * self.geometry_set,
             Fix::SwitchToPrime { exponent } => {
-                geometry_delta(original_sets, exponent) * w.geometry_set
+                geometry_delta(original_sets, exponent) * self.geometry_set
             }
         }
     }
@@ -152,8 +144,8 @@ pub struct Plan {
     pub weights: CostWeights,
     /// Size of the candidate frontier.
     pub candidates: u64,
-    /// Candidates actually analyzed (equals `candidates` unless the
-    /// plan was cancelled, in which case no plan is returned at all).
+    /// Candidates checked: always `candidates`, because a cancelled plan
+    /// returns no plan at all.
     pub analyzed: u64,
     /// Surviving certificates, cheapest first. Every entry re-verifies
     /// and carries its cost and the model weights.
@@ -186,8 +178,8 @@ enum Candidate {
 }
 
 impl Candidate {
-    /// Stable display label (used for per-candidate spans on the
-    /// daemon's batch path).
+    /// Stable display label, passed to the planner's observer (the
+    /// daemon names one child span of `prescribe` after it).
     fn label(self) -> String {
         match self {
             Self::Pad { delta, .. } => format!("pad+{delta}"),
@@ -208,47 +200,42 @@ fn free_or_skip(checked: Result<bool, NestError>) -> Result<bool, NestError> {
     }
 }
 
-/// What one full analysis of the original nest tells the planner.
-struct Triage {
+/// What the caller's analysis of the original nest tells the planner.
+struct Triage<'a> {
     /// The references implicated in any conflict, in index order.
     implicated: Vec<usize>,
     /// Every component's outcome under the original geometry, when the
     /// analysis decided them all symbolically; `None` after a failure or
     /// an enumeration fallback, and then no candidate reuses them.
-    proofs: Option<Vec<ComponentProof>>,
+    proofs: Option<&'a [ComponentProof]>,
 }
 
-/// Triage of the original nest, from one full analysis: `None` when it
-/// is already conflict-free. If the analysis itself fails (other than
-/// by cancellation), every reference is implicated.
-fn triage(
-    nest: &LoopNest,
-    geometry: &Geometry,
-    budget: &NestBudget<'_>,
-) -> Result<Option<Triage>, NestError> {
-    match analyze_nest_with_budget(nest, geometry, budget) {
-        Ok(a) if a.verdict.is_conflict_free() => Ok(None),
-        Ok(a) => {
-            let mut implicated: Vec<usize> = a
-                .proofs
-                .iter()
-                .filter(|p| !p.free)
-                .flat_map(|p| match p.component {
-                    Component::Within { r } => vec![r],
-                    Component::Pair { a, b } => vec![a, b],
-                })
-                .collect();
-            implicated.sort_unstable();
-            implicated.dedup();
-            let proofs = a.fallback_reasons.is_empty().then_some(a.proofs);
-            Ok(Some(Triage { implicated, proofs }))
-        }
-        Err(NestError::Cancelled) => Err(NestError::Cancelled),
-        Err(_) => Ok(Some(Triage {
+/// Triage of the original nest from its analysis: `None` when it is
+/// already conflict-free. A failed analysis (`None`) implicates every
+/// reference.
+fn triage<'a>(nest: &LoopNest, analysis: Option<&'a NestAnalysis>) -> Option<Triage<'a>> {
+    let Some(a) = analysis else {
+        return Some(Triage {
             implicated: (0..nest.refs.len()).collect(),
             proofs: None,
-        })),
+        });
+    };
+    if a.verdict.is_conflict_free() {
+        return None;
     }
+    let mut implicated: Vec<usize> = a
+        .proofs
+        .iter()
+        .filter(|p| !p.free)
+        .flat_map(|p| match p.component {
+            Component::Within { r } => vec![r],
+            Component::Pair { a, b } => vec![a, b],
+        })
+        .collect();
+    implicated.sort_unstable();
+    implicated.dedup();
+    let proofs = a.fallback_reasons.is_empty().then_some(a.proofs.as_slice());
+    Some(Triage { implicated, proofs })
 }
 
 /// True when `fixed`, an edit of `nest` under the original geometry, is
@@ -261,7 +248,7 @@ fn is_free_edit(
     nest: &LoopNest,
     fixed: &LoopNest,
     geometry: &Geometry,
-    triage: &Triage,
+    triage: &Triage<'_>,
     budget: &NestBudget<'_>,
 ) -> Result<bool, NestError> {
     // Without reusable outcomes, every reference counts as changed.
@@ -275,7 +262,7 @@ fn is_free_edit(
         Component::Within { r } => changed[r],
         Component::Pair { a, b } => changed[a] || changed[b],
     };
-    let known = triage.proofs.iter().flatten();
+    let known = triage.proofs.into_iter().flatten();
     if known.filter(|p| !touched(p.component)).any(|p| !p.free) {
         return Ok(false);
     }
@@ -340,6 +327,7 @@ fn with_trip(nest: &LoopNest, ref_index: usize, dim: usize, trip: u64) -> LoopNe
     fixed
 }
 
+/// The certificate for `fix`, priced at the default weights.
 fn certificate(
     nest: &LoopNest,
     geometry: &Geometry,
@@ -347,6 +335,7 @@ fn certificate(
     fixed_nest: LoopNest,
     fixed_geometry: Geometry,
 ) -> Certificate {
+    let weights = CostWeights::default();
     Certificate {
         nest: nest.name.clone(),
         original_geometry: geometry.kind(),
@@ -354,10 +343,8 @@ fn certificate(
         fix,
         fixed_nest,
         fixed_geometry,
-        // Priced during ranking; a certificate never leaves the planner
-        // with these placeholders.
-        cost: 0.0,
-        weights: CostWeights::default(),
+        cost: weights.cost(&fix, nest, geometry.sets()),
+        weights,
     }
 }
 
@@ -374,7 +361,7 @@ fn evaluate(
     nest: &LoopNest,
     geometry: &Geometry,
     candidate: Candidate,
-    triage: &Triage,
+    triage: &Triage<'_>,
     budget: &NestBudget<'_>,
 ) -> Result<Option<Certificate>, NestError> {
     let is_free = |fixed: &LoopNest| is_free_edit(nest, fixed, geometry, triage, budget);
@@ -460,200 +447,95 @@ fn evaluate(
     }
 }
 
-/// Prices the survivors, sorts them cheapest-first (ties break on
-/// frontier position), prunes dominated paddings, and assembles the
-/// [`Plan`]. Deterministic: a pure function of the survivor set.
+/// Sorts the survivors, which arrive in frontier order, cheapest-first
+/// (a stable sort, so ties keep frontier order), prunes dominated
+/// paddings, and assembles the [`Plan`]. Deterministic: a pure function
+/// of the survivor list.
 fn finish_plan(
     nest: &LoopNest,
     geometry: &Geometry,
-    weights: &CostWeights,
     candidates: u64,
-    analyzed: u64,
-    survivors: Vec<(usize, Certificate)>,
+    mut survivors: Vec<Certificate>,
 ) -> Plan {
-    let model = CostModel { weights: *weights };
-    let mut priced: Vec<(usize, Certificate)> = survivors
-        .into_iter()
-        .map(|(i, mut cert)| {
-            cert.cost = model.cost(&cert.fix, nest, geometry.sets());
-            cert.weights = *weights;
-            (i, cert)
-        })
-        .collect();
-    priced.sort_by(|a, b| a.1.cost.total_cmp(&b.1.cost).then(a.0.cmp(&b.0)));
+    survivors.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     // All paddings repair the same site and their cost is strictly
     // monotone in δ: everything after the cheapest survivor is
     // dominated, so only the cheapest is ranked.
     let mut seen_pad = false;
-    let ranked = priced
-        .into_iter()
-        .map(|(_, cert)| cert)
-        .filter(|cert| match cert.fix {
-            Fix::PadLeadingDim { .. } => !std::mem::replace(&mut seen_pad, true),
-            _ => true,
-        })
-        .collect();
+    survivors.retain(|cert| match cert.fix {
+        Fix::PadLeadingDim { .. } => !std::mem::replace(&mut seen_pad, true),
+        _ => true,
+    });
     Plan {
         nest: nest.name.clone(),
         original_geometry: geometry.kind(),
         original_sets: geometry.sets(),
-        weights: *weights,
+        weights: CostWeights::default(),
         candidates,
-        analyzed,
-        ranked,
+        analyzed: candidates,
+        ranked: survivors,
     }
 }
 
-/// Plans repairs for `nest` under `geometry` with default weights and
-/// budget. Returns `None` when the nest is already conflict-free (or
-/// planning failed); an interfering nest yields a [`Plan`] whose
-/// `ranked` list may still be empty when nothing in the frontier works.
+/// Plans repairs for `nest` under `geometry` with the default budget,
+/// analyzing the nest first. Returns `None` when the nest is already
+/// conflict-free; an interfering nest yields a [`Plan`] whose `ranked`
+/// list may still be empty when nothing in the frontier works.
 #[must_use]
 pub fn plan(nest: &LoopNest, geometry: &Geometry, max_pad: u64) -> Option<Plan> {
-    plan_with_budget(
-        nest,
-        geometry,
-        max_pad,
-        &CostWeights::default(),
-        &NestBudget::default(),
-    )
-    .unwrap_or(None)
+    let analysis = analyze_nest(nest, geometry).ok();
+    let budget = NestBudget::default();
+    plan_with_budget(nest, geometry, analysis.as_ref(), max_pad, &budget, None).unwrap_or(None)
 }
 
-/// As [`plan`], with explicit weights and a [`NestBudget`]: every
-/// candidate analysis polls the budget, so a deadline-enforcing caller
-/// can abandon the whole plan cooperatively.
+/// Plans repairs for `nest` under `geometry`, on the calling thread, from
+/// the caller's `analysis` of that nest under that geometry. `None` stands
+/// for an analysis that failed: every reference is then implicated and no
+/// component outcome is reused. Returns `Ok(None)` when the analysis
+/// found the nest conflict-free.
+///
+/// Every candidate check polls `budget`, so a deadline-enforcing caller
+/// can abandon the whole plan cooperatively. `observer`, when given, sees
+/// `(label, true)` before each candidate's check and `(label, false)`
+/// after it; the candidate a cancellation interrupts gets no closing
+/// call, so the caller closes it with the plan's own outcome.
 ///
 /// # Errors
 ///
 /// [`NestError::Cancelled`] when the budget's callback fires — the plan
 /// is abandoned whole, never returned truncated. All other analysis
 /// failures merely skip the offending candidate.
+// Clippy scores the elided lifetime in the observer's `&str` as a complex
+// type; a one-use alias would only hide the signature callers write.
+#[allow(clippy::type_complexity)]
 pub fn plan_with_budget(
     nest: &LoopNest,
     geometry: &Geometry,
+    analysis: Option<&NestAnalysis>,
     max_pad: u64,
-    weights: &CostWeights,
     budget: &NestBudget<'_>,
+    observer: Option<&dyn Fn(&str, bool)>,
 ) -> Result<Option<Plan>, NestError> {
-    let Some(triage) = triage(nest, geometry, budget)? else {
+    let Some(triage) = triage(nest, analysis) else {
         return Ok(None);
     };
     let cands = frontier(nest, geometry, max_pad, &triage.implicated);
     let mut survivors = Vec::new();
-    let mut analyzed = 0u64;
-    for (i, &c) in cands.iter().enumerate() {
-        analyzed += 1;
-        if let Some(cert) = evaluate(nest, geometry, c, &triage, budget)? {
-            survivors.push((i, cert));
+    for &c in &cands {
+        let label = observer.map(|obs| {
+            let label = c.label();
+            obs(&label, true);
+            label
+        });
+        survivors.extend(evaluate(nest, geometry, c, &triage, budget)?);
+        if let (Some(obs), Some(label)) = (observer, &label) {
+            obs(label, false);
         }
     }
     Ok(Some(finish_plan(
         nest,
         geometry,
-        weights,
         cands.len() as u64,
-        analyzed,
-        survivors,
-    )))
-}
-
-/// A thread-safe `(label, begin)` callback observing each candidate's
-/// analysis on the evaluating pool thread.
-pub type CandidateObserver<'a> = &'a (dyn Fn(&str, bool) + Sync);
-
-/// As [`plan_with_budget`], but the frontier is evaluated by a pool of
-/// `threads` scoped worker threads — the daemon's internal batch path.
-///
-/// `cancelled` is polled by every worker (and threaded into each
-/// candidate's [`NestBudget`]); `observer` sees `(label, true)` before
-/// and `(label, false)` after each candidate's analysis, on the
-/// evaluating thread — the hook the daemon uses to open per-candidate
-/// child spans. Results are collected by candidate index, so the
-/// ranking is identical to the sequential path's regardless of thread
-/// interleaving.
-///
-/// # Errors
-///
-/// [`NestError::Cancelled`] when `cancelled` fires anywhere in the
-/// frontier — never a truncated ranking.
-pub fn plan_parallel(
-    nest: &LoopNest,
-    geometry: &Geometry,
-    max_pad: u64,
-    weights: &CostWeights,
-    threads: usize,
-    cancelled: Option<&(dyn Fn() -> bool + Sync)>,
-    observer: Option<CandidateObserver<'_>>,
-) -> Result<Option<Plan>, NestError> {
-    let poll = || cancelled.is_some_and(|c| c());
-    let hook: &dyn Fn() -> bool = &poll;
-    let Some(triage) = triage(nest, geometry, &NestBudget::with_cancel(hook))? else {
-        return Ok(None);
-    };
-    let cands = frontier(nest, geometry, max_pad, &triage.implicated);
-    let total = cands.len();
-    let next = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-    let analyzed = AtomicU64::new(0);
-    let slots: Vec<Mutex<Option<Certificate>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let workers = threads.clamp(1, total.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let hook = || aborted.load(Ordering::Relaxed) || poll();
-                let budget = NestBudget::with_cancel(&hook);
-                loop {
-                    if aborted.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let label = cands[i].label();
-                    if let Some(obs) = observer {
-                        obs(&label, true);
-                    }
-                    let outcome = evaluate(nest, geometry, cands[i], &triage, &budget);
-                    if let Some(obs) = observer {
-                        obs(&label, false);
-                    }
-                    analyzed.fetch_add(1, Ordering::Relaxed);
-                    match outcome {
-                        Ok(Some(cert)) => {
-                            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(cert);
-                        }
-                        Ok(None) => {}
-                        Err(_) => {
-                            // Only cancellation escapes `evaluate`; tear
-                            // the whole plan down.
-                            aborted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    if aborted.load(Ordering::Relaxed) || poll() {
-        return Err(NestError::Cancelled);
-    }
-    let survivors: Vec<(usize, Certificate)> = slots
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .map(|cert| (i, cert))
-        })
-        .collect();
-    Ok(Some(finish_plan(
-        nest,
-        geometry,
-        weights,
-        total as u64,
-        analyzed.into_inner(),
         survivors,
     )))
 }
@@ -661,9 +543,11 @@ pub fn plan_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::absint::analyze_nest_with_budget;
     use crate::nest::{AffineRef, Term};
     use crate::prescribe::DEFAULT_MAX_PAD;
-    use std::sync::atomic::AtomicUsize;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn term(coeff: i64, trip: u64) -> Term {
         Term { coeff, trip }
@@ -743,39 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ranking_matches_sequential() {
-        let seq = plan_with_budget(
-            &stride_nest(),
-            &stride_geometry(),
-            DEFAULT_MAX_PAD,
-            &CostWeights::default(),
-            &NestBudget::default(),
-        )
-        .unwrap()
-        .unwrap();
-        for threads in [1usize, 2, 8] {
-            let par = plan_parallel(
-                &stride_nest(),
-                &stride_geometry(),
-                DEFAULT_MAX_PAD,
-                &CostWeights::default(),
-                threads,
-                None,
-                None,
-            )
-            .unwrap()
-            .unwrap();
-            assert_eq!(
-                serde_json::to_string(&par.ranked).unwrap(),
-                serde_json::to_string(&seq.ranked).unwrap(),
-                "threads={threads}"
-            );
-            assert_eq!(par.candidates, seq.candidates);
-            assert_eq!(par.analyzed, seq.analyzed);
-        }
-    }
-
-    #[test]
     fn rankings_are_identical_across_runs() {
         let a = plan(&stride_nest(), &stride_geometry(), DEFAULT_MAX_PAD).unwrap();
         let b = plan(&stride_nest(), &stride_geometry(), DEFAULT_MAX_PAD).unwrap();
@@ -788,37 +639,39 @@ mod tests {
     #[test]
     fn cancellation_mid_frontier_aborts_the_whole_plan() {
         // A nest whose analyses really enumerate (four odd strides
-        // overflow the relational class split), so each polls per
-        // component and per enumeration quantum. Let the base triage —
-        // one analysis — through, then fire partway into the frontier:
-        // the plan must surface Cancelled, never a truncated ranking
-        // presented as complete.
+        // overflow the relational class split), so each check polls per
+        // component and per enumeration quantum. Let the first candidate
+        // through, then fire at the next poll, inside the second: the
+        // plan must surface Cancelled, never a truncated ranking
+        // presented as complete, and the interrupted candidate stays open
+        // for the caller to close.
         let terms = [3, 5, 7, 9].map(|coeff| term(coeff, 24));
         let nest = LoopNest::new("odd-strides", vec![AffineRef::new(0, terms.to_vec(), 0)]);
         let geometry = Geometry::prime(5, 8).unwrap();
-        let polls = AtomicUsize::new(0);
-        let count = || {
-            polls.fetch_add(1, Ordering::Relaxed);
-            false
-        };
-        let analysis =
-            analyze_nest_with_budget(&nest, &geometry, &NestBudget::with_cancel(&count)).unwrap();
+        let analysis = analyze_nest(&nest, &geometry).unwrap();
         assert!(analysis.enumerated_lines > 0);
-        let triage = polls.load(Ordering::Relaxed);
-        let calls = AtomicUsize::new(0);
-        let hook = || calls.fetch_add(1, Ordering::Relaxed) >= triage + 2;
+        let events: RefCell<Vec<(String, bool)>> = RefCell::new(Vec::new());
+        let obs = |label: &str, begin: bool| events.borrow_mut().push((label.to_owned(), begin));
+        let hook = || events.borrow().iter().any(|(_, begin)| !begin);
         let err = plan_with_budget(
             &nest,
             &geometry,
+            Some(&analysis),
             DEFAULT_MAX_PAD,
-            &CostWeights::default(),
             &NestBudget::with_cancel(&hook),
+            Some(&obs),
         )
         .err();
         assert_eq!(err, Some(NestError::Cancelled));
-        assert!(
-            calls.load(Ordering::Relaxed) > triage,
-            "fired in the triage"
+        let events = events.into_inner();
+        let labels: Vec<(&str, bool)> = events.iter().map(|(l, b)| (l.as_str(), *b)).collect();
+        assert_eq!(
+            labels,
+            [
+                ("shrink-r0d0", true),
+                ("shrink-r0d0", false),
+                ("shrink-r0d1", true)
+            ]
         );
     }
 
@@ -826,30 +679,14 @@ mod tests {
     fn fired_budget_cancels_a_symbolic_plan() {
         // The stride nest decides without enumerating, so only the
         // per-component poll can see a budget that has already fired.
+        let analysis = analyze_nest(&stride_nest(), &stride_geometry()).unwrap();
         let hook = || true;
         let err = plan_with_budget(
             &stride_nest(),
             &stride_geometry(),
+            Some(&analysis),
             DEFAULT_MAX_PAD,
-            &CostWeights::default(),
             &NestBudget::with_cancel(&hook),
-        )
-        .err();
-        assert_eq!(err, Some(NestError::Cancelled));
-    }
-
-    #[test]
-    fn parallel_cancellation_aborts_the_whole_plan() {
-        // An always-fired hook: wherever the pool threads happen to be,
-        // the plan must come back Cancelled — never a partial ranking.
-        let hook = || true;
-        let err = plan_parallel(
-            &stride_nest(),
-            &stride_geometry(),
-            DEFAULT_MAX_PAD,
-            &CostWeights::default(),
-            4,
-            Some(&hook),
             None,
         )
         .err();
@@ -858,56 +695,33 @@ mod tests {
 
     #[test]
     fn observer_brackets_every_candidate() {
-        let events: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
-        let obs = |label: &str, begin: bool| {
-            events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push((label.to_owned(), begin));
-        };
-        let p = plan_parallel(
+        let events: RefCell<Vec<(String, bool)>> = RefCell::new(Vec::new());
+        let obs = |label: &str, begin: bool| events.borrow_mut().push((label.to_owned(), begin));
+        let analysis = analyze_nest(&stride_nest(), &stride_geometry()).unwrap();
+        let p = plan_with_budget(
             &stride_nest(),
             &stride_geometry(),
+            Some(&analysis),
             DEFAULT_MAX_PAD,
-            &CostWeights::default(),
-            1,
-            None,
+            &NestBudget::default(),
             Some(&obs),
         )
         .unwrap()
         .unwrap();
-        let events = events.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let begins = events.iter().filter(|(_, b)| *b).count();
-        let ends = events.iter().filter(|(_, b)| !*b).count();
-        assert_eq!(begins as u64, p.analyzed);
-        assert_eq!(ends as u64, p.analyzed);
-    }
-
-    #[test]
-    fn weights_reprice_the_ranking() {
-        // With shrinking priced above hardware, the geometry switch
-        // wins; the default model prefers the shrink. Same survivors,
-        // different order — the point of an explicit cost model.
-        let cheap_hw = CostWeights {
-            pad_word: 1.0,
-            shrink_fraction: 1_000_000_000.0,
-            geometry_set: 1.0,
-        };
-        let p = plan_with_budget(
-            &stride_nest(),
-            &stride_geometry(),
-            DEFAULT_MAX_PAD,
-            &cheap_hw,
-            &NestBudget::default(),
-        )
-        .unwrap()
-        .unwrap();
-        assert!(
-            matches!(p.ranked[0].fix, Fix::SwitchToPrime { exponent: 13 }),
-            "{:?}",
-            p.ranked[0].fix
+        // One bracket per candidate, in frontier order, and the same plan
+        // as without an observer.
+        let expected: Vec<(String, bool)> =
+            ["shrink-r0d0", "switch-2^13", "switch-2^17", "switch-2^19"]
+                .iter()
+                .flat_map(|label| [(label.to_string(), true), (label.to_string(), false)])
+                .collect();
+        assert_eq!(events.into_inner(), expected);
+        assert_eq!(p.analyzed, 4);
+        let unobserved = plan(&stride_nest(), &stride_geometry(), DEFAULT_MAX_PAD).unwrap();
+        assert_eq!(
+            serde_json::to_string(&p).unwrap(),
+            serde_json::to_string(&unobserved).unwrap()
         );
-        assert_eq!(p.ranked[0].weights, cheap_hw);
     }
 
     #[test]
@@ -930,7 +744,8 @@ mod tests {
             let pow2 = Geometry::pow2(1 << exponent, *line_words).unwrap();
             let prime = Geometry::prime(*exponent, *line_words).unwrap();
             for geometry in [pow2, prime] {
-                let Some(triage) = triage(nest, &geometry, &budget).unwrap() else {
+                let analysis = analyze_nest_with_budget(nest, &geometry, &budget).ok();
+                let Some(triage) = triage(nest, analysis.as_ref()) else {
                     continue;
                 };
                 reused += usize::from(triage.proofs.is_some());
@@ -985,9 +800,10 @@ mod tests {
         // itself, references 1 and 2 (two lines each, 320 apart) collide
         // with each other, and every other component is free. Each of the
         // three shrinks leaves a conflicting component untouched, so none
-        // is decided again. What is decided, one poll each: the triage's
-        // six components, four under 2^5 − 1 sets (up to the first
-        // conflict, pair 0–1) and six under each of the other switches.
+        // is decided again. The caller's analysis decided all six
+        // components; what the plan decides, one poll each: four under
+        // 2^5 − 1 sets (up to the first conflict, pair 0–1) and six under
+        // each of the other switches.
         let refs = vec![
             AffineRef::new(0, vec![term(64, 8)], 0),
             AffineRef::new(8 * 1001, vec![term(1, 16)], 1),
@@ -995,6 +811,7 @@ mod tests {
         ];
         let nest = LoopNest::new("three-refs", refs);
         let geometry = Geometry::pow2(32, 8).unwrap();
+        let analysis = analyze_nest(&nest, &geometry).unwrap();
         let polls = AtomicUsize::new(0);
         let count = || {
             polls.fetch_add(1, Ordering::Relaxed);
@@ -1003,14 +820,15 @@ mod tests {
         let p = plan_with_budget(
             &nest,
             &geometry,
+            Some(&analysis),
             DEFAULT_MAX_PAD,
-            &CostWeights::default(),
             &NestBudget::with_cancel(&count),
+            None,
         )
         .unwrap()
         .unwrap();
         assert_eq!((p.candidates, p.analyzed), (8, 8), "{p:?}");
-        assert_eq!(polls.load(Ordering::Relaxed), 6 + 4 + 4 * 6, "{p:?}");
+        assert_eq!(polls.load(Ordering::Relaxed), 4 + 4 * 6, "{p:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Layer-3 prescriber: repairs an interfering loop nest with a
-//! machine-checkable certificate, delegating the search to the
-//! cost-ranked planner ([`crate::plan`]).
+//! Layer-3 repairs: the vocabulary of fixes for an interfering loop nest
+//! and the machine-checkable certificate that carries one. The
+//! cost-ranked planner ([`plan`](mod@crate::plan)) searches these fixes.
 //!
 //! The repair vocabulary mirrors the paper's own remedies:
 //!
@@ -17,9 +17,9 @@
 //!    supported exponent ([`Fix::BumpExponent`]).
 //!
 //! Historically these were *searched* in that order and the first hit
-//! won. Today the planner analyzes the full candidate frontier and
-//! ranks every surviving repair under an explicit cost model
-//! ([`crate::plan::CostModel`]); [`prescribe`] returns the cheapest.
+//! won. Today the planner ([`crate::plan::plan`]) checks the full
+//! candidate frontier and ranks every surviving repair by cost;
+//! [`crate::plan::Plan::into_best`] is the cheapest.
 //! Every prescription is packaged as a [`Certificate`] carrying the
 //! repaired nest, the repaired geometry, its cost, and the weights it
 //! was ranked under; [`Certificate::verify`] re-runs the abstract
@@ -29,10 +29,10 @@
 
 use serde::Serialize;
 
-use crate::absint::{analyze_nest, NestBudget, NestError, NestVerdict};
+use crate::absint::{analyze_nest, NestVerdict};
 use crate::conflict::Geometry;
 use crate::nest::LoopNest;
-use crate::plan::{plan_with_budget, CostWeights, Plan};
+use crate::plan::CostWeights;
 
 /// Largest padding delta tried by default.
 pub const DEFAULT_MAX_PAD: u64 = 64;
@@ -228,46 +228,12 @@ pub(crate) fn pad_nest(nest: &LoopNest, ld: u64, delta: u64) -> Option<LoopNest>
     changed.then_some(fixed)
 }
 
-/// Prescribes the cheapest repair for `nest` under `geometry`.
-///
-/// Returns `None` when the nest is already conflict-free or when no
-/// repair in the planner's frontier works. `max_pad` bounds the padding
-/// frontier ([`DEFAULT_MAX_PAD`] is the conventional choice). For the
-/// full ranking, use [`crate::plan::plan`] directly.
-#[must_use]
-pub fn prescribe(nest: &LoopNest, geometry: &Geometry, max_pad: u64) -> Option<Certificate> {
-    prescribe_with_budget(nest, geometry, max_pad, &NestBudget::default()).unwrap_or(None)
-}
-
-/// As [`prescribe`], but every candidate analysis runs under
-/// `nest_budget`, so a deadline-enforcing caller can abandon the whole
-/// repair search cooperatively.
-///
-/// # Errors
-///
-/// [`NestError::Cancelled`] when the budget's callback fires; all other
-/// analysis failures merely skip the offending candidate.
-pub fn prescribe_with_budget(
-    nest: &LoopNest,
-    geometry: &Geometry,
-    max_pad: u64,
-    nest_budget: &NestBudget<'_>,
-) -> Result<Option<Certificate>, NestError> {
-    let planned = plan_with_budget(
-        nest,
-        geometry,
-        max_pad,
-        &CostWeights::default(),
-        nest_budget,
-    )?;
-    Ok(planned.and_then(Plan::into_best))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::absint::{NestBudget, NestError};
     use crate::nest::{AffineRef, Term};
-    use crate::plan::plan;
+    use crate::plan::{plan, plan_with_budget, Plan};
     use crate::probabilistic::{
         Arithmetic, CollisionModel, MonteCarlo, ProbVerdict, ProbabilisticRow,
     };
@@ -282,13 +248,18 @@ mod tests {
         Geometry::prime(13, 1).unwrap()
     }
 
+    /// The planner's cheapest repair.
+    fn best_repair(nest: &LoopNest, geometry: &Geometry, max_pad: u64) -> Option<Certificate> {
+        plan(nest, geometry, max_pad).and_then(Plan::into_best)
+    }
+
     #[test]
     fn free_nests_need_no_prescription() {
         let n = LoopNest::new(
             "free",
             vec![AffineRef::new(0, vec![Term { coeff: 1, trip: 64 }], 0)],
         );
-        assert!(prescribe(&n, &pow2_13(), DEFAULT_MAX_PAD).is_none());
+        assert!(best_repair(&n, &pow2_13(), DEFAULT_MAX_PAD).is_none());
     }
 
     #[test]
@@ -300,7 +271,7 @@ mod tests {
         let m = MersenneModulus::new(13).unwrap();
         let plan = conflict_free_subblock(8192, 4096, m);
         let n = LoopNest::subblock("ld-pow2", 0, 8192, &plan, 0);
-        let cert = prescribe(&n, &pow2_13(), DEFAULT_MAX_PAD).unwrap();
+        let cert = best_repair(&n, &pow2_13(), DEFAULT_MAX_PAD).unwrap();
         assert_eq!(
             cert.fix,
             Fix::PadLeadingDim {
@@ -362,7 +333,7 @@ mod tests {
                 0,
             )],
         };
-        let cert = prescribe(&n, &pow2_13(), DEFAULT_MAX_PAD).unwrap();
+        let cert = best_repair(&n, &pow2_13(), DEFAULT_MAX_PAD).unwrap();
         assert_eq!(
             cert.fix,
             Fix::PadLeadingDim {
@@ -445,7 +416,7 @@ mod tests {
             )],
         );
         let g = Geometry::pow2(8192, 8).unwrap();
-        let cert = prescribe(&n, &g, DEFAULT_MAX_PAD).unwrap();
+        let cert = best_repair(&n, &g, DEFAULT_MAX_PAD).unwrap();
         assert_eq!(
             cert.fix,
             Fix::ShrinkTrip {
@@ -469,7 +440,7 @@ mod tests {
         let b = AffineRef::new(8192 * 8, vec![Term { coeff: 1, trip: 2 }], 0);
         let n = LoopNest::new("alias", vec![a, b]);
         let g = Geometry::pow2(8192, 8).unwrap();
-        let cert = prescribe(&n, &g, DEFAULT_MAX_PAD).unwrap();
+        let cert = best_repair(&n, &g, DEFAULT_MAX_PAD).unwrap();
         assert_eq!(cert.fix, Fix::SwitchToPrime { exponent: 13 });
         assert_eq!(cert.fixed_geometry.kind(), "prime");
         assert!(cert.verify());
@@ -492,7 +463,7 @@ mod tests {
         );
         let b = AffineRef::new(8191 * 3, vec![Term { coeff: 0, trip: 1 }], 0);
         let n = LoopNest::new("orbit-1", vec![a, b]);
-        let cert = prescribe(&n, &Geometry::prime(13, 1).unwrap(), DEFAULT_MAX_PAD).unwrap();
+        let cert = best_repair(&n, &Geometry::prime(13, 1).unwrap(), DEFAULT_MAX_PAD).unwrap();
         assert_eq!(cert.fix, Fix::BumpExponent { from: 13, to: 17 });
         assert!(cert.verify());
     }
@@ -501,13 +472,14 @@ mod tests {
     fn cancelled_budget_aborts_the_search() {
         // An interfering nest with a repair whose analyses really
         // enumerate: four odd strides overflow the relational class
-        // split. A callback that lets the first component's decision
-        // through and fires inside the enumeration must surface as
-        // Cancelled, not as a bogus "no repair found".
+        // split. Planned from a failed analysis, so the first candidate
+        // decides every component: a callback that lets its first
+        // component's decision through and fires inside the enumeration
+        // must surface as Cancelled, not as a bogus "no repair found".
         let terms = [3, 5, 7, 9].map(|coeff| Term { coeff, trip: 24 });
         let n = LoopNest::new("odd-strides", vec![AffineRef::new(0, terms.to_vec(), 0)]);
         let g = Geometry::prime(5, 8).unwrap();
-        assert!(prescribe(&n, &g, DEFAULT_MAX_PAD).is_some());
+        assert!(best_repair(&n, &g, DEFAULT_MAX_PAD).is_some());
         let polls = std::cell::Cell::new(0);
         let hook = || {
             polls.set(polls.get() + 1);
@@ -515,7 +487,7 @@ mod tests {
         };
         let budget = NestBudget::with_cancel(&hook);
         assert_eq!(
-            prescribe_with_budget(&n, &g, DEFAULT_MAX_PAD, &budget).err(),
+            plan_with_budget(&n, &g, None, DEFAULT_MAX_PAD, &budget, None).err(),
             Some(NestError::Cancelled)
         );
     }
@@ -525,7 +497,7 @@ mod tests {
         let m = MersenneModulus::new(13).unwrap();
         let plan = conflict_free_subblock(8192, 4096, m);
         let n = LoopNest::subblock("ld-pow2", 0, 8192, &plan, 0);
-        let cert = prescribe(&n, &pow2_13(), DEFAULT_MAX_PAD).unwrap();
+        let cert = best_repair(&n, &pow2_13(), DEFAULT_MAX_PAD).unwrap();
         let json = serde_json::to_string(&cert).unwrap();
         assert!(json.contains("PadLeadingDim"));
         assert!(json.contains("fixed_geometry"));

@@ -1,12 +1,12 @@
 //! Differential validation of the Layer-3 abstract interpreter and
-//! prescriber against the cache simulator.
+//! planner against the cache simulator.
 //!
 //! Same oracle as `properties.rs`, lifted to loop nests: lower the nest
 //! to a flat program, replay it twice through `CacheSim` ("double
 //! sweep"), and compare. For footprints within cache capacity,
 //! `ConflictFree` ⟺ zero conflict misses; the forward direction
 //! (conflict-free ⇒ zero conflict misses) holds even past capacity.
-//! Every repair certificate the prescriber emits is re-verified *and*
+//! Every repair certificate the planner ranks best is re-verified *and*
 //! replayed under its repaired geometry — a certificate is never trusted
 //! on the interpreter's word alone.
 
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vcache_cache::CacheSim;
 use vcache_check::prescribe::DEFAULT_MAX_PAD;
-use vcache_check::{analyze_nest, prescribe, AffineRef, Geometry, LoopNest, Term};
+use vcache_check::{analyze_nest, plan, AffineRef, Geometry, LoopNest, Plan, Term};
 
 const REPLAY_CAP: u64 = 1 << 20;
 
@@ -89,10 +89,10 @@ fn check_nest(nest: &LoopNest, geometry: &Geometry) -> Result<bool, String> {
     Ok(free)
 }
 
-/// When the nest interferes, the prescriber's certificate (if any) must
+/// When the nest interferes, the planner's best certificate (if any) must
 /// re-verify and replay clean under its repaired geometry.
 fn check_certificate(nest: &LoopNest, geometry: &Geometry) -> Result<bool, String> {
-    let Some(cert) = prescribe(nest, geometry, DEFAULT_MAX_PAD) else {
+    let Some(cert) = plan(nest, geometry, DEFAULT_MAX_PAD).and_then(Plan::into_best) else {
         return Ok(false);
     };
     if !cert.verify() {

@@ -94,11 +94,12 @@ USAGE:
   vcache stat --addr <A> [--prom] [--json] [--attempts <N>]
       Fetch a running daemon's status and render it: a human summary by
       default, the Prometheus text exposition with --prom, or the raw
-      status JSON with --json.
+      status JSON with --json. --attempts (default 5) must be at least 1.
   vcache client <op> --addr <A> [--deadline-ms <N>] [--attempts <N>] [op flags]
       Call a running daemon with retries (decorrelated-jitter backoff).
       --addr may be a comma-separated list of daemon addresses;
-      transport failures fail over to the next address.
+      transport failures fail over to the next address. --deadline-ms
+      and --attempts (default 5) must be at least 1.
       <op> is one of:
         ping | status | shutdown
         check    [--src] [--programs] [--nests] [--prescribe] [--workloads]
@@ -106,6 +107,7 @@ USAGE:
                  (remote equivalent of `vcache check`; --json output is
                  byte-identical to the local command)
         analyze  --trace <FILE> [--window <W>] [--top <N>]
+                 (--window must be at least 1)
   vcache help
       Show this message.
 
@@ -752,7 +754,7 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 fn stat_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr: String = get(flags, "addr")?;
     let mut policy = prime_cache::serve::RetryPolicy::default();
-    policy.max_attempts = get_or(flags, "attempts", policy.max_attempts)?;
+    policy.max_attempts = get_count(flags, "attempts", Some(policy.max_attempts), None)?;
     let mut client = Client::with_policy(addr, policy);
     let status = client.status().map_err(|e| e.to_string())?;
     if flags.contains_key("prom") {
@@ -771,15 +773,12 @@ fn stat_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 fn client_cmd(op: &str, flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let addr: String = get(flags, "addr")?;
     let mut policy = prime_cache::serve::RetryPolicy::default();
-    policy.max_attempts = get_or(flags, "attempts", policy.max_attempts)?;
+    policy.max_attempts = get_count(flags, "attempts", Some(policy.max_attempts), None)?;
+    let deadline_ms: Option<u64> = flags
+        .contains_key("deadline-ms")
+        .then(|| get_count(flags, "deadline-ms", None, None))
+        .transpose()?;
     let mut client = Client::with_policy(addr, policy);
-    let deadline_ms: Option<u64> = match flags.get("deadline-ms") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| "invalid value for --deadline-ms".to_string())?,
-        ),
-        None => None,
-    };
     match op {
         "ping" | "status" | "shutdown" => {
             let result = client
@@ -855,10 +854,11 @@ fn client_analyze(
 ) -> Result<ExitCode, String> {
     let path: String = get(flags, "trace")?;
     let mut params = vec![("path".to_string(), Value::Str(path.clone()))];
-    if let Some(window) = flags.get("window") {
-        let window: u64 = window
-            .parse()
-            .map_err(|_| "invalid value for --window".to_string())?;
+    let window: Option<u64> = flags
+        .contains_key("window")
+        .then(|| get_count(flags, "window", None, None))
+        .transpose()?;
+    if let Some(window) = window {
         params.push(("window".to_string(), Value::U64(window)));
     }
     if let Some(top) = flags.get("top") {

@@ -141,6 +141,40 @@ fn out_of_range_flags_fail_naming_them() {
             &["serve", "--addr", "noport", "--deadline-ms", "0"],
             "--deadline-ms must be",
         ),
+        // Port 1 refuses at once, so a client that wrongly took its flags
+        // would fail at connect instead of hanging.
+        (
+            &[
+                "client",
+                "ping",
+                "--addr",
+                "127.0.0.1:1",
+                "--deadline-ms",
+                "0",
+            ],
+            "--deadline-ms must be at least 1, got 0",
+        ),
+        (
+            &["client", "ping", "--addr", "127.0.0.1:1", "--attempts", "0"],
+            "--attempts must be at least 1, got 0",
+        ),
+        (
+            &["stat", "--addr", "127.0.0.1:1", "--attempts", "0"],
+            "--attempts must be at least 1, got 0",
+        ),
+        (
+            &[
+                "client",
+                "analyze",
+                "--addr",
+                "127.0.0.1:1",
+                "--trace",
+                "t.jsonl",
+                "--window",
+                "0",
+            ],
+            "--window must be at least 1, got 0",
+        ),
     ] {
         let (code, text) = run(args);
         assert_eq!(code, Some(1), "{args:?}: {text}");
