@@ -1,32 +1,26 @@
-//! The retrying client: connection pooling and multi-address failover,
-//! exponential backoff with decorrelated jitter, and an
+//! The retrying client: one daemon address, a fresh connection per
+//! attempt, exponential backoff with decorrelated jitter, and an
 //! idempotency-aware retry policy.
 //!
 //! Retry rules (see DESIGN.md §7):
 //!
-//! * `overloaded` — always retryable: the daemon sheds *before* any
-//!   work, so nothing happened. The server's `retry_after_ms` hint is
-//!   honored as the backoff floor.
+//! * `overloaded`, `shutting_down` — always retryable: the daemon
+//!   answers them *before* any work, so nothing happened. The server's
+//!   `retry_after_ms` hint is honored as the backoff floor.
 //! * Connect failures — always retryable, for every op: the request
 //!   never left this process. They surface as the typed
-//!   [`ClientError::Connect`] carrying the offending daemon address.
+//!   [`ClientError::Connect`] carrying the daemon address.
 //! * Post-connect transport errors (torn response, mid-line EOF,
 //!   connection reset) — retryable only for idempotent ops. Every
 //!   analysis op is a pure read, so all built-in ops except `shutdown`
 //!   qualify; `shutdown` is never blindly resent because the first
 //!   attempt may have landed.
 //! * Every other typed error (`bad_request`, `analysis_failed`,
-//!   `io_error`, `internal_error`, `deadline_exceeded`,
-//!   `shutting_down`) — final: retrying cannot change the outcome.
+//!   `io_error`, `internal_error`, `deadline_exceeded`) — final:
+//!   retrying cannot change the outcome.
 //!
-//! A client may hold **several daemon addresses** (`Client::new`
-//! accepts a comma-separated list); each transport failure rotates to
-//! the next address, so a dead daemon only costs the attempts it eats.
-//! Idempotent calls reuse pooled connections ([`crate::pool`]); a
-//! failure on a pooled connection is retried once on a fresh one before
-//! counting as a real attempt failure, because the pooled socket may
-//! simply have been reaped by the peer. Non-idempotent ops always dial
-//! fresh — a half-open pooled write can appear to succeed.
+//! Each attempt dials, exchanges one line and drops the connection, so a
+//! torn connection never carries over into a later attempt or call.
 //!
 //! Backoff is decorrelated jitter: `sleep = min(cap, uniform(base,
 //! prev * 3))`, which spreads concurrent retriers instead of
@@ -41,7 +35,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
 
-use crate::pool::ConnPool;
 use crate::protocol::{ErrorBody, Request, Response};
 
 /// Retry/backoff knobs.
@@ -71,9 +64,9 @@ impl Default for RetryPolicy {
 /// Why a call ultimately failed.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Could not connect to a daemon (after retries). Carries the
-    /// offending address so an operator knows *which* daemon is
-    /// unreachable, not just that something io-failed.
+    /// Could not connect to the daemon (after retries). Carries its
+    /// address so an operator knows *which* daemon is unreachable, not
+    /// just that something io-failed.
     Connect {
         /// The address that refused or timed out.
         addr: String,
@@ -103,22 +96,16 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A client for one daemon, or several to fail over across. Idempotent calls
-/// reuse pooled connections; everything else dials fresh, so a torn
-/// connection never poisons later calls.
+/// A client for one daemon. Every attempt dials a fresh connection.
 pub struct Client {
-    addrs: Vec<String>,
-    cursor: usize,
-    pool: ConnPool,
+    addr: String,
     policy: RetryPolicy,
     rng: StdRng,
     next_id: u64,
 }
 
 impl Client {
-    /// A client with the default retry policy. `addr` may be a single
-    /// address or a comma-separated list of daemon addresses to fail
-    /// over across.
+    /// A client for the daemon at `addr` with the default retry policy.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         Self::with_policy(addr, RetryPolicy::default())
@@ -127,36 +114,12 @@ impl Client {
     /// A client with an explicit retry policy.
     #[must_use]
     pub fn with_policy(addr: impl Into<String>, policy: RetryPolicy) -> Self {
-        let joined = addr.into();
-        let mut addrs: Vec<String> = joined
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(String::from)
-            .collect();
-        if addrs.is_empty() {
-            addrs.push(joined);
-        }
         Self {
-            addrs,
-            cursor: 0,
-            pool: ConnPool::default(),
+            addr: addr.into(),
             rng: StdRng::seed_from_u64(policy.seed),
             policy,
             next_id: 1,
         }
-    }
-
-    /// The addresses this client rotates across.
-    #[must_use]
-    pub fn addrs(&self) -> &[String] {
-        &self.addrs
-    }
-
-    /// The address the next attempt will dial.
-    #[must_use]
-    pub fn current_addr(&self) -> &str {
-        &self.addrs[self.cursor % self.addrs.len()]
     }
 
     /// Fetches the daemon's `status` result — the input both `vcache
@@ -169,8 +132,7 @@ impl Client {
         self.call("status", Value::Null, None)
     }
 
-    /// Issues `op` and returns the `result` value, retrying per policy
-    /// and failing over across daemon addresses on transport errors.
+    /// Issues `op` and returns the `result` value, retrying per policy.
     ///
     /// # Errors
     ///
@@ -186,8 +148,7 @@ impl Client {
         request.params = params;
         request.deadline_ms = deadline_ms;
         // Every built-in op except `shutdown` is a pure read; pure
-        // reads may retry over a broken transport and may ride pooled
-        // connections.
+        // reads may retry over a broken transport.
         let idempotent = op != "shutdown";
 
         let mut prev_sleep = self.policy.base;
@@ -195,7 +156,7 @@ impl Client {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match self.attempt(&request, idempotent) {
+            match self.attempt(&request) {
                 Ok(response) => {
                     if response.id != request.id {
                         return Err(ClientError::Protocol(format!(
@@ -207,25 +168,24 @@ impl Client {
                         Ok(result) => return Ok(result),
                         Err(body) if body.code.request_not_started() => {
                             // `overloaded` / `shutting_down`: no work
-                            // happened; another daemon (or a later try)
-                            // may accept. Rotate and retry.
-                            self.rotate();
+                            // happened; a later try may be accepted.
                             last_error = ClientError::Server(body);
                         }
                         Err(body) => return Err(ClientError::Server(body)),
                     }
                 }
-                Err(AttemptError::Connect(addr, e)) => {
+                Err(AttemptError::Connect(e)) => {
                     // The request never left this process: always safe
                     // to retry, even for non-idempotent ops.
-                    self.rotate();
-                    last_error = ClientError::Connect { addr, source: e };
+                    last_error = ClientError::Connect {
+                        addr: self.addr.clone(),
+                        source: e,
+                    };
                 }
                 Err(AttemptError::Transport(e)) => {
                     if !idempotent {
                         return Err(ClientError::Io(e));
                     }
-                    self.rotate();
                     last_error = ClientError::Io(e);
                 }
                 Err(AttemptError::Protocol(msg)) => return Err(ClientError::Protocol(msg)),
@@ -244,11 +204,6 @@ impl Client {
         }
     }
 
-    /// Advances to the next daemon address (no-op for a single address).
-    fn rotate(&mut self) {
-        self.cursor = (self.cursor + 1) % self.addrs.len();
-    }
-
     /// Decorrelated jitter: uniform in `[floor, prev * 3]`, capped.
     fn backoff(&mut self, floor: Duration, prev: Duration) -> Duration {
         let floor_us = u64::try_from(floor.as_micros()).unwrap_or(u64::MAX);
@@ -261,71 +216,37 @@ impl Client {
         Duration::from_micros(sleep_us)
     }
 
-    /// One request/response exchange against the current address.
-    /// Idempotent requests may ride a pooled connection; a failure on a
-    /// pooled socket is retried once on a fresh dial before counting,
-    /// because the pool may simply have handed back a reaped socket.
-    fn attempt(&mut self, request: &Request, idempotent: bool) -> Result<Response, AttemptError> {
-        let addr = self.current_addr().to_string();
-        if idempotent {
-            if let Some(stream) = self.pool.checkout(&addr) {
-                match exchange(stream, request) {
-                    Ok((response, stream)) => {
-                        self.pool.checkin(&addr, stream);
-                        return Ok(response);
-                    }
-                    Err(AttemptError::Protocol(msg)) => return Err(AttemptError::Protocol(msg)),
-                    Err(_) => {
-                        // Suspicion, not verdict: drop the stale idle
-                        // set and fall through to one fresh dial.
-                        self.pool.evict(&addr);
-                    }
-                }
-            }
-        }
-        let stream =
-            TcpStream::connect(&addr).map_err(|e| AttemptError::Connect(addr.clone(), e))?;
-        // Latency over batching: one-line exchanges suffer ~40ms Nagle
-        // + delayed-ACK stalls on reused connections otherwise.
+    /// One request/response exchange on a fresh connection, which is
+    /// dropped afterwards.
+    fn attempt(&self, request: &Request) -> Result<Response, AttemptError> {
+        let stream = TcpStream::connect(&self.addr).map_err(AttemptError::Connect)?;
+        // A request line longer than one segment would otherwise wait
+        // out Nagle and the peer's delayed ACK on its tail.
         let _ = stream.set_nodelay(true);
-        let (response, stream) = exchange(stream, request)?;
-        if idempotent {
-            self.pool.checkin(&addr, stream);
+        let mut line = request.to_json();
+        line.push('\n');
+        (&stream)
+            .write_all(line.as_bytes())
+            .map_err(AttemptError::Transport)?;
+        let mut response_line = String::new();
+        let n = BufReader::new(&stream)
+            .read_line(&mut response_line)
+            .map_err(AttemptError::Transport)?;
+        if n == 0 || !response_line.ends_with('\n') {
+            // EOF before a complete line: a dropped connection or a torn
+            // write. Transport-class, so idempotent ops may retry.
+            return Err(AttemptError::Transport(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed before a complete response line",
+            )));
         }
-        Ok(response)
+        Response::from_json(response_line.trim_end()).map_err(AttemptError::Protocol)
     }
-}
-
-/// Writes one request line and reads one response line on `stream`,
-/// returning the stream for reuse on success.
-fn exchange(stream: TcpStream, request: &Request) -> Result<(Response, TcpStream), AttemptError> {
-    let mut writer = stream.try_clone().map_err(AttemptError::Transport)?;
-    let mut line = request.to_json();
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(AttemptError::Transport)?;
-    let mut reader = BufReader::new(stream);
-    let mut response_line = String::new();
-    let n = reader
-        .read_line(&mut response_line)
-        .map_err(AttemptError::Transport)?;
-    if n == 0 || !response_line.ends_with('\n') {
-        // EOF before a complete line: a dropped connection or a torn
-        // write. Transport-class, so idempotent ops may retry.
-        return Err(AttemptError::Transport(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before a complete response line",
-        )));
-    }
-    let response = Response::from_json(response_line.trim_end()).map_err(AttemptError::Protocol)?;
-    Ok((response, reader.into_inner()))
 }
 
 enum AttemptError {
-    /// Dialing `addr` failed; the request never left this process.
-    Connect(String, io::Error),
+    /// Dialing the daemon failed; the request never left this process.
+    Connect(io::Error),
     /// The connection broke after the dial (write or read side).
     Transport(io::Error),
     /// The daemon answered with something unparseable.
@@ -378,25 +299,6 @@ mod tests {
         // Connect failures are request-not-started: even `shutdown`
         // retries them rather than failing on the first dial.
         let err = client.call("shutdown", Value::Null, None).unwrap_err();
-        assert!(matches!(err, ClientError::Connect { .. }), "got {err}");
-    }
-
-    #[test]
-    fn multi_addr_clients_rotate_on_failure() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(2),
-            seed: 4,
-        };
-        let mut client = Client::with_policy("127.0.0.1:1, 127.0.0.1:2", policy);
-        assert_eq!(client.addrs().len(), 2);
-        assert_eq!(client.current_addr(), "127.0.0.1:1");
-        let err = client
-            .call("ping", Value::Obj(Vec::new()), None)
-            .unwrap_err();
-        // 3 attempts across 2 dead addresses: the last one dialed is
-        // reported, and the cursor kept rotating.
         assert!(matches!(err, ClientError::Connect { .. }), "got {err}");
     }
 }

@@ -1,13 +1,13 @@
-//! The analysis daemon: accept loops, a crash-isolated worker pool,
-//! deadlines, backpressure, and graceful drain.
+//! The analysis daemon: one TCP accept loop, a crash-isolated worker
+//! pool, deadlines, backpressure, and graceful drain.
 //!
 //! Architecture (one box per thread):
 //!
 //! ```text
-//!   accept(TCP)──┐                 ┌─ worker 0 ─ catch_unwind(handler)
-//!   accept(Unix)─┤→ conn threads →│  worker 1 ─ catch_unwind(handler)
-//!                │   (1/socket)    │  ...       deadline → NestBudget
-//!                └─ bounded queue ─┴─ worker N
+//!   accept(TCP) → conn threads → bounded queue ─┬─ worker 0 ─ catch_unwind(handler)
+//!                 (1/socket)                    ├─ worker 1 ─ catch_unwind(handler)
+//!                                               ├─ ...        deadline → NestBudget
+//!                                               └─ worker N
 //! ```
 //!
 //! Every request runs inside `catch_unwind`: a panicking handler (real
@@ -23,7 +23,7 @@
 //! connection.
 //!
 //! Shutdown ([`ShutdownHandle::trigger`], a `shutdown` request, or a
-//! signal wired up by the binary) stops the accept loops, drains every
+//! signal wired up by the binary) stops the accept loop, drains every
 //! queued request, lets connection threads finish their in-flight
 //! exchange, and returns the final [`MetricsSnapshot`].
 //!
@@ -69,7 +69,7 @@ use crate::protocol::{
 };
 use crate::queue::{Bounded, PushError};
 
-/// How long an accept loop sleeps between polls of the shutdown flag.
+/// How long the accept loop sleeps between polls of the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Read timeout on connection sockets; bounds how long a connection
 /// thread can outlive a shutdown request.
@@ -87,8 +87,6 @@ const OP_WINDOW: usize = 256;
 pub struct ServerConfig {
     /// TCP listen address (use port 0 for an ephemeral port).
     pub addr: String,
-    /// Optional Unix-domain socket path (ignored on non-Unix targets).
-    pub unix_path: Option<PathBuf>,
     /// Worker pool size.
     pub workers: usize,
     /// Bounded queue capacity; beyond this, requests are shed.
@@ -116,7 +114,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            unix_path: None,
             workers: 4,
             queue_capacity: 64,
             default_deadline_ms: 10_000,
@@ -199,15 +196,12 @@ impl ShutdownHandle {
 /// A bound-but-not-yet-running daemon.
 pub struct Server {
     listener: TcpListener,
-    #[cfg(unix)]
-    unix: Option<std::os::unix::net::UnixListener>,
-    unix_path: Option<PathBuf>,
     workers: usize,
     shared: Arc<Shared>,
 }
 
 impl Server {
-    /// Binds the listening sockets and builds the shared state; no
+    /// Binds the listening socket and builds the shared state; no
     /// threads start until [`Server::run`].
     ///
     /// # Errors
@@ -215,15 +209,6 @@ impl Server {
     /// Socket bind failures.
     pub fn bind(config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        #[cfg(unix)]
-        let unix = match &config.unix_path {
-            Some(path) => {
-                // A previous unclean exit may have left the socket file.
-                let _ = std::fs::remove_file(path);
-                Some(std::os::unix::net::UnixListener::bind(path)?)
-            }
-            None => None,
-        };
         let metrics = SharedMetrics::default();
         metrics.register_histogram("serve.latency_us", &LATENCY_BOUNDS_US);
         let spans = match &config.span_path {
@@ -250,9 +235,6 @@ impl Server {
         });
         Ok(Self {
             listener,
-            #[cfg(unix)]
-            unix,
-            unix_path: config.unix_path,
             workers: config.workers.max(1),
             shared,
         })
@@ -289,8 +271,6 @@ impl Server {
     /// Socket configuration failures and a worker thread the OS
     /// refuses; individual connection errors are absorbed and counted.
     pub fn run(self) -> io::Result<MetricsSnapshot> {
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
         let mut worker_handles: Vec<JoinHandle<()>> = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
             let shared = Arc::clone(&self.shared);
@@ -308,24 +288,14 @@ impl Server {
             }
         }
 
-        #[cfg(unix)]
-        let unix_accept = self.unix.map(|listener| {
-            let shared = Arc::clone(&self.shared);
-            let handles = Arc::clone(&conn_handles);
-            thread::spawn(move || {
-                let _ = accept_loop_unix(&listener, &shared, &handles);
-            })
-        });
-
+        let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
         self.listener.set_nonblocking(true)?;
         loop {
             if self.shared.shutting_down() {
                 break;
             }
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    spawn_tcp_conn(stream, &self.shared, &conn_handles);
-                }
+                Ok((stream, _)) => conn_handles.push(spawn_conn(stream, &self.shared)),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -340,33 +310,17 @@ impl Server {
         // threads finish their in-flight exchange and exit at the next
         // read poll.
         self.shared.queue.close();
-        for handle in worker_handles {
+        for handle in worker_handles.into_iter().chain(conn_handles) {
             let _ = handle.join();
-        }
-        #[cfg(unix)]
-        if let Some(handle) = unix_accept {
-            let _ = handle.join();
-        }
-        let handles =
-            std::mem::take(&mut *conn_handles.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            let _ = handle.join();
-        }
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
         }
         let _ = self.shared.spans.flush();
         Ok(self.shared.metrics.snapshot())
     }
 }
 
-fn spawn_tcp_conn(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn spawn_conn(stream: TcpStream, shared: &Arc<Shared>) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    let handle = thread::spawn(move || {
+    thread::spawn(move || {
         shared.metrics.count("serve.connections", 1);
         // Request/response lines are small; Nagle + delayed ACK would
         // stall pipelined peers ~40ms per exchange.
@@ -378,47 +332,7 @@ fn spawn_tcp_conn(
             return;
         };
         serve_connection(BufReader::new(read_half), stream, &shared);
-    });
-    handles
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(handle);
-}
-
-#[cfg(unix)]
-fn accept_loop_unix(
-    listener: &std::os::unix::net::UnixListener,
-    shared: &Arc<Shared>,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if shared.shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared_conn = Arc::clone(shared);
-                let handle = thread::spawn(move || {
-                    shared_conn.metrics.count("serve.connections", 1);
-                    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-                        return;
-                    }
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    serve_connection(BufReader::new(read_half), stream, &shared_conn);
-                });
-                handles
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
+    })
 }
 
 /// One connection: read a request line, resolve it to exactly one
@@ -782,10 +696,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// callbacks of [`NestBudget`], `run_check_observed` and the planner:
 /// each `begin` opens a child of the deepest open phase (or of the
 /// parent span), so nested phases nest in the tree exactly as they
-/// nested in time. The phase observers guarantee balance on success
-/// *and* error; the planner leaves the candidate a cancellation
-/// interrupted open, and [`PhaseSpans::drain`] closes whatever is still
-/// open on an error path with that path's status.
+/// nested in time, and each end closes the deepest `ok`. All three
+/// observers end a phase only when it succeeds, so the phase an error
+/// interrupted (a cancelled analysis phase or candidate, a failed check
+/// layer) is still open when its owner calls [`PhaseSpans::drain`] with
+/// that error's status.
 struct PhaseSpans<'a> {
     parent: &'a SpanHandle,
     stack: RefCell<Vec<SpanHandle>>,
@@ -1073,7 +988,6 @@ fn op_analyze_nest(
                 };
                 candidates.drain(status);
                 prescribe_span.finish(status);
-                phases.drain(status);
                 return Err(nest_error(e));
             }
         }

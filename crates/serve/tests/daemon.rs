@@ -1,5 +1,6 @@
 //! In-process integration tests for the daemon: deadlines, crash
-//! isolation, backpressure, graceful drain, and the Unix transport.
+//! isolation, backpressure, graceful drain, and the client's retry rules
+//! over a torn transport.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -9,7 +10,7 @@ use std::time::{Duration, Instant};
 use serde::{Serialize, Value};
 use vcache_check::{AffineRef, LoopNest, Term, MAX_PAD_BOUND};
 use vcache_serve::protocol::{ErrorCode, GeometrySpec, Request, Response};
-use vcache_serve::{Client, FaultPlan, RetryPolicy, Server, ServerConfig};
+use vcache_serve::{Client, ClientError, FaultPlan, RetryPolicy, Server, ServerConfig};
 
 /// Boots a daemon on an ephemeral port; returns (addr, shutdown handle,
 /// metrics, runner join handle).
@@ -348,36 +349,36 @@ fn graceful_drain_finishes_in_flight_work() {
     assert!(TcpStream::connect(&addr).is_err());
 }
 
-#[cfg(unix)]
 #[test]
-fn unix_socket_transport_serves_the_same_protocol() {
-    use std::os::unix::net::UnixStream;
-
-    let dir = std::env::temp_dir().join(format!("vcache-serve-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let sock = dir.join("daemon.sock");
-    let (_, handle, _metrics, runner) = boot(ServerConfig {
-        unix_path: Some(sock.clone()),
+fn a_torn_transport_resends_only_idempotent_ops() {
+    let (addr, _handle, metrics, runner) = boot(ServerConfig {
+        fault_plan: FaultPlan::parse("seed=1,torn=1.0").unwrap(),
         ..ServerConfig::default()
     });
+    let mut client = Client::with_policy(
+        addr,
+        RetryPolicy {
+            max_attempts: 3,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            seed: 3,
+        },
+    );
 
-    let mut stream = UnixStream::connect(&sock).unwrap();
-    let mut line = Request::new(9, "ping").to_json();
-    line.push('\n');
-    stream.write_all(line.as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    let response = Response::from_json(response.trim_end()).unwrap();
-    assert_eq!(response.id, 9);
-    let result = response.outcome.unwrap();
-    assert_eq!(result.get("pong"), Some(&Value::Bool(true)));
+    // Every response is torn. `ping` is a pure read: each of its three
+    // attempts sends it again, each on a fresh connection.
+    let err = client.call("ping", Value::Null, None).unwrap_err();
+    assert!(matches!(err, ClientError::Io(_)), "got {err}");
+    assert_eq!(metrics.counter_value("serve.requests"), 3);
+    assert_eq!(metrics.counter_value("serve.connections"), 3);
 
-    handle.trigger();
-    runner.join().unwrap();
-    // The socket file is cleaned up on drain.
-    assert!(!sock.exists());
-    let _ = std::fs::remove_dir_all(&dir);
+    // `shutdown` may have landed, so it is never sent twice. It did land:
+    // the daemon drains.
+    let err = client.call("shutdown", Value::Null, None).unwrap_err();
+    assert!(matches!(err, ClientError::Io(_)), "got {err}");
+    let snapshot = runner.join().unwrap();
+    assert_eq!(snapshot.counter("serve.requests"), 4);
+    assert_eq!(snapshot.counter("serve.connections"), 4);
 }
 
 #[test]
@@ -533,19 +534,27 @@ fn span_export_yields_complete_trees_with_phase_attribution() {
         }
     }
 
-    // The cancelled request: worker closed with the typed outcome, and
-    // the interrupted enumeration phase still closed (balanced observer).
+    // The cancelled request: worker closed with the typed outcome, the
+    // phase that finished closed `ok`, and the enumeration the deadline
+    // interrupted closed `cancelled`.
     let cancelled_root = spans
         .iter()
         .find(|s| s.is_root() && s.status == "deadline_exceeded" && s.req_id == Some(42))
         .expect("cancelled analyze_nest root");
-    let in_tree = |label: &str| {
+    let status_in_tree = |label: &str| {
         spans
             .iter()
-            .any(|s| s.request == cancelled_root.request && s.label == label)
+            .find(|s| s.request == cancelled_root.request && s.label == label)
+            .map(|s| s.status.as_str())
     };
-    assert!(in_tree("queue_wait") && in_tree("worker"), "{text}");
-    assert!(in_tree("enumerate"), "no enumerate phase recorded: {text}");
+    assert_eq!(status_in_tree("queue_wait"), Some("ok"), "{text}");
+    assert_eq!(
+        status_in_tree("worker"),
+        Some("deadline_exceeded"),
+        "{text}"
+    );
+    assert_eq!(status_in_tree("rules"), Some("ok"), "{text}");
+    assert_eq!(status_in_tree("enumerate"), Some("cancelled"), "{text}");
 
     // The clean request carries analyzer phases under its worker span.
     let ok_root = spans

@@ -78,10 +78,11 @@ pub struct NestBudget<'a> {
     /// deadline passed). `None` never cancels.
     pub cancelled: Option<&'a (dyn Fn() -> bool + 'a)>,
     /// Phase observer: called as `(phase, true)` when an analysis phase
-    /// opens and `(phase, false)` when it closes. Phases are `lineset`,
-    /// `rules`, and `enumerate`; an `Err` return (cancellation, budget
-    /// exhaustion) still closes the open phase before propagating, so
-    /// begin/end calls always balance. `None` observes nothing and the
+    /// opens and `(phase, false)` when it completes. Phases are
+    /// `lineset`, `rules`, and `enumerate`. A phase that fails
+    /// (cancellation, budget exhaustion) gets no end call: the owner of
+    /// the observer closes it with the failure's own outcome, as the
+    /// planner's candidate observer does. `None` observes nothing and the
     /// analysis runs the identical code path.
     pub observer: Option<&'a (dyn Fn(&'static str, bool) + 'a)>,
 }
@@ -115,20 +116,26 @@ impl<'a> NestBudget<'a> {
     }
 }
 
-/// Runs `f` bracketed by the budget's phase observer, when present: the
-/// observer sees `(phase, true)` before and `(phase, false)` after, and
-/// `f`'s result passes through untouched — an `Err` closes the phase on
-/// the way out because `f` returns the whole `Result`.
-fn observe_phase<T>(budget: &NestBudget<'_>, phase: &'static str, f: impl FnOnce() -> T) -> T {
-    match budget.observer {
-        Some(observer) => {
-            observer(phase, true);
-            let out = f();
-            observer(phase, false);
-            out
-        }
-        None => f(),
+/// Runs `f` as the phase `phase` under `observer`, when present: the
+/// observer sees `(phase, true)` before `f` and `(phase, false)` after it
+/// only when `f` returns `Ok`. A failed phase is left open for the
+/// observer's owner to close with the failure's own outcome. `f`'s result
+/// passes through untouched. Both observed entries, [`NestBudget`]'s and
+/// [`crate::run_check_observed`]'s, go through here.
+pub(crate) fn observe_phase<T, E>(
+    observer: Option<&dyn Fn(&'static str, bool)>,
+    phase: &'static str,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    let Some(observer) = observer else {
+        return f();
+    };
+    observer(phase, true);
+    let out = f();
+    if out.is_ok() {
+        observer(phase, false);
     }
+    out
 }
 
 /// Countdown wrapper polling the cancellation callback once per
@@ -798,7 +805,7 @@ fn analyze_components(
     let verdict_only = matches!(scope, Scope::Verdict(_));
     let mut poll = CancelPoll::new(nest_budget);
     let line_words = geometry.line_words();
-    let line_sets: Vec<LineSet> = observe_phase(nest_budget, "lineset", || {
+    let line_sets: Vec<LineSet> = observe_phase(nest_budget.observer, "lineset", || {
         nest.refs
             .iter()
             .enumerate()
@@ -833,7 +840,7 @@ fn analyze_components(
     // back, with a reason, is left for enumeration.
     let refs = &nest.refs;
     let mut fallback_reasons: Vec<FallbackReason> = Vec::new();
-    let settled = observe_phase(nest_budget, "rules", || {
+    let settled = observe_phase(nest_budget.observer, "rules", || {
         let pairs = (0..refs.len())
             .flat_map(|a| (a + 1..refs.len()).map(move |b| Component::Pair { a, b }));
         for component in (0..refs.len())
@@ -871,7 +878,7 @@ fn analyze_components(
     })?;
 
     // Exact fallback for whatever the relational domain handed back.
-    let enumerated_lines = observe_phase(nest_budget, "enumerate", || {
+    let enumerated_lines = observe_phase(nest_budget.observer, "enumerate", || {
         if settled {
             return Ok(0);
         }
@@ -1274,8 +1281,8 @@ mod tests {
         use std::cell::{Cell, RefCell};
         // A nest the relational domain decides without enumerating: the
         // per-component poll alone must see the fired budget, and the
-        // interrupted `rules` phase must still close — in the full
-        // analysis and in the verdict-only one.
+        // interrupted `rules` phase is left open for the observer's owner
+        // — in the full analysis and in the verdict-only one.
         for entry in entries() {
             let polls = Cell::new(0u32);
             let hook = || {
@@ -1293,12 +1300,7 @@ mod tests {
             assert_eq!(polls.get(), 1);
             assert_eq!(
                 events.into_inner(),
-                vec![
-                    ("lineset", true),
-                    ("lineset", false),
-                    ("rules", true),
-                    ("rules", false),
-                ]
+                vec![("lineset", true), ("lineset", false), ("rules", true)]
             );
         }
     }
@@ -1382,7 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_observer_balances_even_when_cancelled() {
+    fn phase_observer_leaves_exactly_the_cancelled_phase_open() {
         use std::cell::{Cell, RefCell};
         // Cancel at the first poll (the component's symbolic decision,
         // inside `rules`) and at the second (inside `enumerate`), in
@@ -1404,8 +1406,8 @@ mod tests {
                 Some(NestError::Cancelled)
             );
             let events = events.into_inner();
-            // Every begun phase ended, including the one that was
-            // cancelled, which is the last to close.
+            // Every phase before the cancelled one ended, in order; the
+            // cancelled one began last and got no end call.
             let mut open: Vec<&'static str> = Vec::new();
             for (phase, begin) in &events {
                 if *begin {
@@ -1414,8 +1416,8 @@ mod tests {
                     assert_eq!(open.pop(), Some(*phase), "unbalanced: {events:?}");
                 }
             }
-            assert!(open.is_empty(), "phases left open: {open:?}");
-            assert_eq!(events.last(), Some(&(cut, false)), "{events:?}");
+            assert_eq!(open, [cut], "{events:?}");
+            assert_eq!(events.last(), Some(&(cut, true)), "{events:?}");
         }
     }
 

@@ -76,6 +76,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use absint::observe_phase;
 pub use absint::{
     analyze_nest, analyze_nest_with_budget, NestAnalysis, NestBudget, NestError, NestVerdict,
     BUDGET_CHECK_QUANTUM,
@@ -157,13 +158,14 @@ pub fn run_check(options: &CheckOptions) -> Result<Report, CheckError> {
 }
 
 /// [`run_check`] with a phase observer: `observer` sees `(phase, true)`
-/// when a layer opens and `(phase, false)` when it closes, in run order.
-/// Phases are `lex` (source lints + allowlist), `orbits` (Layer-2
+/// when a layer opens and `(phase, false)` when it completes, in run
+/// order. Phases are `lex` (source lints + allowlist), `orbits` (Layer-2
 /// suite), `absint` (Layer-3 nest suite, prescriptions included),
 /// `workloads`, and `probabilistic` (Layer-4 closed forms + Monte-Carlo
-/// validation) — only the requested ones fire. The report is identical
-/// to [`run_check`]'s (the traced/untraced pairing this workspace pins
-/// with VC005).
+/// validation) — only the requested ones fire. A layer that fails gets
+/// no end call, as in [`NestBudget::observer`]: the caller closes it
+/// with the error. The report is identical to [`run_check`]'s (the
+/// traced/untraced pairing this workspace pins with VC005).
 ///
 /// # Errors
 ///
@@ -179,22 +181,6 @@ fn run_check_inner(
     options: &CheckOptions,
     observer: Option<&dyn Fn(&'static str, bool)>,
 ) -> Result<Report, CheckError> {
-    fn observed<T>(
-        observer: Option<&dyn Fn(&'static str, bool)>,
-        phase: &'static str,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        match observer {
-            Some(obs) => {
-                obs(phase, true);
-                let out = f();
-                obs(phase, false);
-                out
-            }
-            None => f(),
-        }
-    }
-
     let mut findings = Vec::new();
     let mut suite_results = Vec::new();
     let mut nest_results = Vec::new();
@@ -207,7 +193,7 @@ fn run_check_inner(
     let mut src_files = 0;
 
     if options.src {
-        observed(observer, "lex", || -> Result<(), CheckError> {
+        observe_phase(observer, "lex", || -> Result<(), CheckError> {
             let (lints, files) = lint::scan_workspace(&options.root)?;
             findings.extend(lints);
             src_files = files;
@@ -215,14 +201,15 @@ fn run_check_inner(
         })?;
     }
     if options.programs {
-        observed(observer, "orbits", || {
+        observe_phase(observer, "orbits", || -> Result<(), CheckError> {
             let (results, drift) = suite::run();
             suite_results = results;
             findings.extend(drift);
-        });
+            Ok(())
+        })?;
     }
     if options.nests {
-        observed(observer, "absint", || {
+        observe_phase(observer, "absint", || -> Result<(), CheckError> {
             let outcome = nestsuite::run(options.prescribe);
             nest_results = outcome.rows;
             certificates = outcome.certificates;
@@ -233,24 +220,27 @@ fn run_check_inner(
             let (rows, drift) = battery::run();
             battery_results = rows;
             findings.extend(drift);
-        });
+            Ok(())
+        })?;
     }
     if options.workloads {
-        observed(observer, "workloads", || {
+        observe_phase(observer, "workloads", || -> Result<(), CheckError> {
             let (results, drift) = worksuite::run();
             workload_results = results;
             findings.extend(drift);
-        });
+            Ok(())
+        })?;
     }
     if options.probabilistic {
-        observed(observer, "probabilistic", || {
+        observe_phase(observer, "probabilistic", || -> Result<(), CheckError> {
             let (results, drift) = probabilistic::run();
             if options.prescribe {
                 advisories = prescribe::advise_switch_to_prime(&results);
             }
             probabilistic_results = results;
             findings.extend(drift);
-        });
+            Ok(())
+        })?;
     }
 
     let mut report = Report {

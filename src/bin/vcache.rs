@@ -76,13 +76,13 @@ USAGE:
       layer switch, all layers run. A requested layer that produces no
       rows is a VC107 finding. Exits non-zero on any finding not
       covered by the allowlist.
-  vcache serve [--addr <A>] [--unix <PATH>] [--workers <N>] [--queue <N>]
-               [--deadline-ms <N>] [--retry-after-ms <N>] [--faults <SPEC>] [--root <DIR>]
+  vcache serve [--addr <A>] [--workers <N>] [--queue <N>] [--deadline-ms <N>]
+               [--retry-after-ms <N>] [--faults <SPEC>] [--root <DIR>]
                [--spans <FILE>] [--slow-ms <N>] [--cache <N>]
-      Run the analysis daemon (NDJSON over TCP, plus a Unix socket with
-      --unix). Prints `listening on <addr>` once bound; --addr defaults
-      to 127.0.0.1:0 (ephemeral port). SIGTERM/SIGINT drain gracefully
-      and print a final metrics snapshot. <SPEC> arms fault injection,
+      Run the analysis daemon (NDJSON over TCP). Prints `listening on
+      <addr>` once bound; --addr defaults to 127.0.0.1:0 (ephemeral
+      port). SIGTERM/SIGINT drain gracefully and print a final metrics
+      snapshot. <SPEC> arms fault injection,
       e.g. `seed=7,panic=0.02,delay=0.05:20,torn=0.02`. With --spans,
       every request's span tree (DESIGN.md §8) is appended to FILE as
       JSONL; requests slower than --slow-ms (default 1000, 0 disables)
@@ -96,10 +96,9 @@ USAGE:
       default, the Prometheus text exposition with --prom, or the raw
       status JSON with --json. --attempts (default 5) must be at least 1.
   vcache client <op> --addr <A> [--deadline-ms <N>] [--attempts <N>] [op flags]
-      Call a running daemon with retries (decorrelated-jitter backoff).
-      --addr may be a comma-separated list of daemon addresses;
-      transport failures fail over to the next address. --deadline-ms
-      and --attempts (default 5) must be at least 1.
+      Call a running daemon with retries (decorrelated-jitter backoff),
+      each attempt on a fresh connection. --deadline-ms and --attempts
+      (default 5) must be at least 1.
       <op> is one of:
         ping | status | shutdown
         check    [--src] [--programs] [--nests] [--prescribe] [--workloads]
@@ -111,8 +110,10 @@ USAGE:
   vcache help
       Show this message.
 
-Unknown flags are errors. Output cut short by its reader (`| head`)
-ends the command with exit 0.
+A command line that cannot be parsed (an unknown command, op or flag,
+or a flag without its value) fails with this text; a command that
+runs and fails prints one `error:` line. Output cut short by its
+reader (`| head`) ends the command with exit 0.
 ";
 
 /// The flags one command accepts: `values` take an argument, `switches`
@@ -166,7 +167,6 @@ const COMMANDS: &[(&str, FlagSpec)] = &[
         "serve",
         takes(&[
             "addr",
-            "unix",
             "workers",
             "queue",
             "deadline-ms",
@@ -247,45 +247,65 @@ macro_rules! errln {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            errln!("error: {msg}");
+    run(&args).unwrap_or_else(|e| {
+        errln!("error: {e}");
+        if let CliError::Usage(_) = e {
             errln!("\n{USAGE}");
-            ExitCode::FAILURE
+        }
+        ExitCode::FAILURE
+    })
+}
+
+/// Why a command line did not complete.
+#[derive(Debug)]
+enum CliError {
+    /// The command line cannot be parsed: no command, an unknown command,
+    /// op or flag, or a flag missing its value. Printed with [`USAGE`].
+    Usage(String),
+    /// The command ran and failed. Printed alone.
+    Failed(String),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Usage(msg) | Self::Failed(msg) => f.write_str(msg),
         }
     }
 }
 
 /// `Ok(code)` is a completed command (possibly reporting failure, e.g. a
-/// dirty `check`); `Err` is a usage error and prints the help text.
-fn run(args: &[String]) -> Result<ExitCode, String> {
+/// dirty `check`).
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(command) = args.first() else {
-        return Err("no command given".into());
+        return Err(CliError::Usage("no command given".into()));
     };
     if command == "client" {
         let Some(op) = args.get(1) else {
-            return Err("client needs an op: ping | status | shutdown | check | analyze".into());
+            return Err(CliError::Usage(
+                "client needs an op: ping | status | shutdown | check | analyze".into(),
+            ));
         };
         let own = match op.as_str() {
             "ping" | "status" | "shutdown" => &NO_FLAGS,
             "check" => &CHECK,
             "analyze" => &ANALYZE,
-            other => return Err(format!("unknown client op `{other}`")),
+            other => return Err(CliError::Usage(format!("unknown client op `{other}`"))),
         };
-        let flags =
-            parse_flags(&args[2..], &[&CLIENT, own]).map_err(|e| format!("client {op}: {e}"))?;
-        return client_cmd(op, &flags);
+        let flags = parse_flags(&args[2..], &[&CLIENT, own])
+            .map_err(|e| CliError::Usage(format!("client {op}: {e}")))?;
+        return client_cmd(op, &flags).map_err(CliError::Failed);
     }
     let name = match command.as_str() {
         "--help" | "-h" => "help",
         other => other,
     };
     let Some((_, spec)) = COMMANDS.iter().find(|(known, _)| *known == name) else {
-        return Err(format!("unknown command `{command}`"));
+        return Err(CliError::Usage(format!("unknown command `{command}`")));
     };
-    let flags = parse_flags(&args[1..], &[spec]).map_err(|e| format!("{name}: {e}"))?;
-    match name {
+    let flags =
+        parse_flags(&args[1..], &[spec]).map_err(|e| CliError::Usage(format!("{name}: {e}")))?;
+    let outcome = match name {
         "simulate" => simulate(&flags).map(|()| ExitCode::SUCCESS),
         "plan-subblock" => plan_subblock(&flags).map(|()| ExitCode::SUCCESS),
         "plan-fft" => plan_fft_cmd(&flags).map(|()| ExitCode::SUCCESS),
@@ -298,8 +318,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             outln!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`")),
-    }
+        other => return Err(CliError::Usage(format!("unknown command `{other}`"))),
+    };
+    outcome.map_err(CliError::Failed)
 }
 
 /// Parses `--name value` pairs against the accepted flags in `specs`;
@@ -712,7 +733,6 @@ fn serve_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String>
     };
     Ok(ServerConfig {
         addr: get_or(flags, "addr", "127.0.0.1:0".to_string())?,
-        unix_path: flags.get("unix").map(std::path::PathBuf::from),
         workers: get_count(flags, "workers", Some(4), Some(MAX_WORKERS))?,
         queue_capacity: get_count(flags, "queue", Some(64), None)?,
         default_deadline_ms: get_count(flags, "deadline-ms", Some(10_000), None)?,
@@ -976,7 +996,7 @@ mod tests {
             ("client analyze --addr 127.0.0.1:1 --windw 4", "`--windw`"),
         ] {
             let args: Vec<&str> = line.split_whitespace().collect();
-            let err = run(&strings(&args)).unwrap_err();
+            let err = run(&strings(&args)).unwrap_err().to_string();
             assert!(err.contains(named), "{line}: {err}");
         }
     }

@@ -1,5 +1,6 @@
 //! End-to-end checks of the `vcache` binary's command-line surface: a
-//! typo'd or out-of-range flag fails naming the flag, a cache too large
+//! typo'd or out-of-range flag fails naming the flag, a command that runs
+//! and fails prints its error without the usage text, a cache too large
 //! to simulate fails with a typed message instead of aborting, a source
 //! scan that reads no file fails the gate, and a reader that closes the
 //! pipe early (`vcache analyze … | head -1`) ends the command with exit 0.
@@ -54,6 +55,31 @@ fn a_typo_in_a_flag_fails_naming_it() {
     assert!(output.stdout.is_empty(), "planned despite the typo");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("`--exponnent`"), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
+fn a_command_that_fails_at_run_time_prints_no_usage() {
+    let missing = std::env::temp_dir().join(format!("vcache-cli-missing-{}", std::process::id()));
+    let missing = missing.join("t.jsonl");
+    let missing = missing.to_str().unwrap();
+    for (args, error) in [
+        // Port 1 refuses at once.
+        (
+            &["client", "ping", "--addr", "127.0.0.1:1", "--attempts", "1"][..],
+            "error: cannot connect to daemon at 127.0.0.1:1",
+        ),
+        (&["serve", "--addr", "noport"], "error: cannot bind"),
+        (
+            &["analyze", "--trace", missing],
+            &*format!("error: cannot open {missing}"),
+        ),
+    ] {
+        let (code, text) = run(args);
+        assert_eq!(code, Some(1), "{args:?}: {text}");
+        assert!(text.contains(error), "{args:?}: {text}");
+        assert!(!text.contains("USAGE:"), "{args:?}: {text}");
+    }
 }
 
 #[test]
