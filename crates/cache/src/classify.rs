@@ -149,12 +149,30 @@ impl ShadowCache {
     }
 
     /// Forgets every line, keeping the table's allocation.
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill(Slot::VACANT);
+    ///
+    /// Until the shadow first evicts, every line seen since the last
+    /// clear is resident (`seen == resident`), so the LRU list holds
+    /// exactly the occupied slots: those are vacated one by one and
+    /// `forget` is called with each of their lines, and the call returns
+    /// true. Once the shadow has evicted, the whole table is refilled
+    /// instead, `forget` is not called, and the call returns false.
+    pub(crate) fn clear(&mut self, mut forget: impl FnMut(LineAddr)) -> bool {
+        let walk = self.seen == self.resident;
+        if walk {
+            let mut at = self.head;
+            while at != NIL {
+                let slot = std::mem::replace(&mut self.slots[at as usize], Slot::VACANT);
+                forget(LineAddr::new(slot.line));
+                at = slot.next;
+            }
+        } else {
+            self.slots.fill(Slot::VACANT);
+        }
         self.seen = 0;
         self.resident = 0;
         self.head = NIL;
         self.tail = NIL;
+        walk
     }
 
     /// The slot holding `line`, or the vacant slot where it belongs. The
@@ -354,10 +372,59 @@ mod tests {
         s.touch(l(1));
         s.touch(l(2));
         s.touch(l(3));
-        s.clear();
+        s.clear(|_| {});
         assert!(s.is_empty());
         assert!(s.lru_order().is_empty());
         assert_eq!(s.touch(l(1)), ShadowVerdict::ColdMiss);
         assert_eq!(s.touch(l(3)), ShadowVerdict::ColdMiss);
+    }
+
+    #[test]
+    fn clear_walks_exactly_when_nothing_was_evicted() {
+        // 40 distinct lines into a capacity of 40, re-touched in between:
+        // no eviction, so the walk reports each line once and leaves the
+        // table vacant.
+        let mut s = ShadowCache::new(40);
+        for i in 0..40 {
+            s.touch(l(i * 8191));
+            s.touch(l((i / 2) * 8191));
+        }
+        let mut forgotten = Vec::new();
+        assert!(s.clear(|line| forgotten.push(line.value())));
+        forgotten.sort_unstable();
+        assert_eq!(forgotten, (0..40).map(|i| i * 8191).collect::<Vec<_>>());
+        assert!(s.slots.iter().all(|slot| slot.state == State::Vacant));
+        // A cleared shadow walks again; one eviction past capacity
+        // switches it to the fill, which reports no line.
+        for i in 0..40 {
+            s.touch(l(i));
+        }
+        assert!(s.clear(|_| {}));
+        for i in 0..41 {
+            s.touch(l(i));
+        }
+        let mut called = false;
+        assert!(!s.clear(|_| called = true));
+        assert!(!called);
+        assert!(s.slots.iter().all(|slot| slot.state == State::Vacant));
+        // Re-touching an evicted line makes it resident again, but the
+        // shadow has still evicted since the clear: it fills.
+        for i in 0..41 {
+            s.touch(l(i));
+        }
+        assert_eq!(s.touch(l(0)), ShadowVerdict::CapacityMiss);
+        assert!(!s.clear(|_| {}));
+        assert_eq!(s.touch(l(7)), ShadowVerdict::ColdMiss);
+        // Above 2^15 lines the table starts at 2^16 slots and doubles
+        // before the shadow is full: the walk follows the relinked list.
+        let mut big = ShadowCache::new(40_000);
+        for i in 0..33_000 {
+            big.touch(l(i * 8191));
+        }
+        assert_eq!(big.slots.len(), 1 << 17);
+        let mut count = 0;
+        assert!(big.clear(|_| count += 1));
+        assert_eq!(count, 33_000);
+        assert!(big.slots.iter().all(|slot| slot.state == State::Vacant));
     }
 }

@@ -575,12 +575,40 @@ impl CacheSim {
 
     /// Empties the cache and clears counters. The Random policy's
     /// generator keeps its state.
+    ///
+    /// Every resident line was seen by the shadow since the last reset.
+    /// While the shadow has evicted none of them it lists them all, and
+    /// only their sets are zeroed, so a short trace is undone at the cost
+    /// of its own lines. Otherwise every slot is zeroed.
     pub fn reset(&mut self) {
-        self.tags.fill(0);
-        self.streams.fill(0);
-        self.last_use.fill(0);
-        self.filled_at.fill(0);
-        self.shadow.clear();
+        let Self {
+            mapper,
+            ways,
+            tags,
+            streams,
+            last_use,
+            filled_at,
+            shadow,
+            ..
+        } = self;
+        let walked = shadow.clear(|line| {
+            let first = mapper.index(line) as usize * *ways;
+            // A set fills from its first slot, so an empty first slot
+            // means the set is empty or already zeroed.
+            if last_use[first] != 0 {
+                let set = first..first + *ways;
+                tags[set.clone()].fill(0);
+                streams[set.clone()].fill(0);
+                last_use[set.clone()].fill(0);
+                filled_at[set].fill(0);
+            }
+        });
+        if !walked {
+            self.tags.fill(0);
+            self.streams.fill(0);
+            self.last_use.fill(0);
+            self.filled_at.fill(0);
+        }
         self.stats = CacheStats::default();
         self.clock = 0;
     }

@@ -237,43 +237,90 @@ proptest! {
     }
 }
 
+/// The benchmark's three 8192-line geometries: direct-mapped, 4-way and
+/// prime-mapped.
+const PAPER_ORGS: [Org; 3] = [
+    Org::Pow2 {
+        sets_log2: 13,
+        ways: 1,
+    },
+    Org::Pow2 {
+        sets_log2: 11,
+        ways: 4,
+    },
+    Org::Prime {
+        exponent: 13,
+        ways: 1,
+    },
+];
+
+/// Interleaved strided streams: `(base, stride)` per stream.
+const PAPER_STREAMS: [(u64, u64); 4] = [(0, 1), (1 << 20, 512), (3 << 20, 8191), (5 << 20, 96)];
+
+/// Element `i` of every stream in turn, for `i` in `0..elements`, with
+/// the streams renumbered from `first_stream`.
+fn multistream(elements: u64, first_stream: u32) -> impl Iterator<Item = (WordAddr, StreamId)> {
+    (0..elements).flat_map(move |i| {
+        (0u32..).zip(PAPER_STREAMS).map(move |(s, (base, stride))| {
+            (
+                WordAddr::new(base + i * stride),
+                StreamId::new(first_stream + s),
+            )
+        })
+    })
+}
+
 #[test]
 fn paper_scale_multistream_traces_match_the_oracle() {
-    // The benchmark's three geometries under interleaved strided streams
-    // that overflow 8192 lines, so the shadow table grows and both
-    // capacity and conflict misses occur.
-    let orgs = [
-        Org::Pow2 {
-            sets_log2: 13,
-            ways: 1,
-        },
-        Org::Pow2 {
-            sets_log2: 11,
-            ways: 4,
-        },
-        Org::Prime {
-            exponent: 13,
-            ways: 1,
-        },
-    ];
-    let streams = [(0u64, 1u64), (1 << 20, 512), (3 << 20, 8191), (5 << 20, 96)];
-    for org in orgs {
+    // Streams that overflow 8192 lines, so the shadow table grows and
+    // both capacity and conflict misses occur.
+    for org in PAPER_ORGS {
         for policy in POLICIES {
             let (mut sim, mut oracle) = pair(org, 1, policy);
             for pass in 0..2 {
-                for i in 0..3000u64 {
-                    for (s, &(base, stride)) in streams.iter().enumerate() {
-                        let w = WordAddr::new(base + i * stride);
-                        let s = StreamId::new(s as u32);
-                        assert_eq!(
-                            sim.access(w, s),
-                            oracle.access(w, s),
-                            "{org:?} {policy} pass {pass} i {i}"
-                        );
-                    }
+                for (i, (w, s)) in multistream(3000, 0).enumerate() {
+                    assert_eq!(
+                        sim.access(w, s),
+                        oracle.access(w, s),
+                        "{org:?} {policy} pass {pass} access {i}"
+                    );
                 }
             }
             assert_eq!(sim.stats(), oracle.stats);
+        }
+    }
+}
+
+#[test]
+fn a_reset_simulator_replays_like_a_fresh_one() {
+    // 4 × 500 accesses fit the 8192-line shadow, so `reset` zeroes only
+    // the sets they touched; 4 × 3000 overflow it, so `reset` zeroes
+    // every slot. Either way the next trace, over the same lines under
+    // other streams, must run exactly as on a fresh simulator: a line
+    // left behind would turn a compulsory miss into a hit.
+    for org in PAPER_ORGS {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            for before in [500, 3000] {
+                let (mut used, _) = pair(org, 1, policy);
+                for (w, s) in multistream(before, 0) {
+                    used.access(w, s);
+                }
+                used.reset();
+                assert_eq!(used.stats(), CacheStats::default());
+                let (mut fresh, _) = pair(org, 1, policy);
+                for (i, (w, s)) in multistream(3000, 4).enumerate() {
+                    assert_eq!(
+                        used.access(w, s),
+                        fresh.access(w, s),
+                        "{org:?} {policy} after {before} access {i}"
+                    );
+                }
+                assert_eq!(
+                    used.stats(),
+                    fresh.stats(),
+                    "{org:?} {policy} after {before}"
+                );
+            }
         }
     }
 }

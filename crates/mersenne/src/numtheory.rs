@@ -26,8 +26,12 @@ pub fn gcd(a: u64, b: u64) -> u64 {
     }
     // The common power of two, then the odd parts by repeated
     // subtraction: the difference of two odd numbers is even, so each
-    // step strips at least one bit.
+    // step strips at least one bit. A power-of-two argument has odd part
+    // 1, so the common power of two is the whole answer.
     let shift = (a | b).trailing_zeros();
+    if a.is_power_of_two() || b.is_power_of_two() {
+        return 1 << shift;
+    }
     let mut a = a >> a.trailing_zeros();
     let mut b = b >> b.trailing_zeros();
     while a != b {

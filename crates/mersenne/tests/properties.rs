@@ -26,6 +26,33 @@ fn arb_gcd_operand() -> impl Strategy<Value = u64> {
     })
 }
 
+#[test]
+fn gcd_matches_euclid_on_small_pairs_and_every_power_of_two() {
+    for a in 0..=300 {
+        for b in 0..=300 {
+            assert_eq!(gcd(a, b), euclid_gcd(a, b), "gcd({a}, {b})");
+        }
+    }
+    // SplitMix64 from a fixed seed: a reproducible spread of operands,
+    // shifted so that every trailing-zero count occurs.
+    let mut state = 0x5EED_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for k in 0..64 {
+        let p = 1u64 << k;
+        for _ in 0..64 {
+            let x = next() >> (next() % 64);
+            assert_eq!(gcd(p, x), euclid_gcd(p, x), "gcd(2^{k}, {x})");
+            assert_eq!(gcd(x, p), euclid_gcd(x, p), "gcd({x}, 2^{k})");
+        }
+    }
+}
+
 fn arb_modulus() -> impl Strategy<Value = MersenneModulus> {
     prop::sample::select(MERSENNE_EXPONENTS.to_vec())
         .prop_map(|c| MersenneModulus::new(c).expect("table exponent"))

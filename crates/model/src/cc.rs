@@ -11,7 +11,14 @@ use crate::params::{Machine, StrideModel, Workload};
 /// positive (and `b − 1` in the single-line case), each stalling `t_m`.
 fn i_s_c_direct_fixed(machine: &Machine, b: u64, stride: u64) -> f64 {
     let c = machine.cache_lines;
-    let lines = c / gcd(c, stride);
+    let g = gcd(c, stride);
+    // A power-of-two C has only power-of-two divisors, so dividing by
+    // the gcd is a shift.
+    let lines = if c.is_power_of_two() {
+        c >> g.trailing_zeros()
+    } else {
+        c / g
+    };
     b.saturating_sub(lines) as f64 * machine.t_m as f64
 }
 

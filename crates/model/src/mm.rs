@@ -13,7 +13,14 @@ use crate::params::{Machine, StrideModel, Workload};
 fn i_s_m_fixed(machine: &Machine, stride: u64) -> f64 {
     let m = machine.banks;
     let tm = machine.t_m;
-    let k = m / gcd(m, stride);
+    let g = gcd(m, stride);
+    // A power-of-two M has only power-of-two divisors, so dividing by
+    // the gcd is a shift.
+    let k = if m.is_power_of_two() {
+        m >> g.trailing_zeros()
+    } else {
+        m / g
+    };
     if k == 1 {
         return (machine.mvl * (tm - 1)) as f64;
     }

@@ -295,7 +295,15 @@ impl Server {
                 break;
             }
             match self.listener.accept() {
-                Ok((stream, _)) => conn_handles.push(spawn_conn(stream, &self.shared)),
+                Ok((stream, _)) => {
+                    reap_finished(&mut conn_handles);
+                    match spawn_conn(stream, &self.shared) {
+                        Ok(handle) => conn_handles.push(handle),
+                        // The OS refused a thread: the connection was
+                        // dropped with the refused closure.
+                        Err(_) => self.shared.metrics.count("serve.accept_errors", 1),
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -318,9 +326,18 @@ impl Server {
     }
 }
 
-fn spawn_conn(stream: TcpStream, shared: &Arc<Shared>) -> JoinHandle<()> {
+/// Joins the connection threads that have finished, which releases them
+/// now: the daemon holds one handle per live connection, not one per
+/// connection it ever accepted.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    for handle in handles.extract_if(.., |handle| handle.is_finished()) {
+        let _ = handle.join();
+    }
+}
+
+fn spawn_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
-    thread::spawn(move || {
+    thread::Builder::new().spawn(move || {
         shared.metrics.count("serve.connections", 1);
         // Request/response lines are small; Nagle + delayed ACK would
         // stall pipelined peers ~40ms per exchange.
@@ -1059,4 +1076,45 @@ fn op_analyze_trace(params: &Value, span: &SpanHandle) -> Result<Value, ErrorBod
     ]);
     analyze_span.finish("ok");
     Ok(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::channel;
+
+    use super::*;
+
+    #[test]
+    fn reaping_joins_finished_connection_threads_only() {
+        // Three threads return at once; two wait until released.
+        let (release, wait) = channel::<()>();
+        let wait = Arc::new(Mutex::new(wait));
+        let mut handles: Vec<JoinHandle<()>> = (0..5)
+            .map(|i| {
+                let wait = Arc::clone(&wait);
+                thread::spawn(move || {
+                    if i % 2 == 1 {
+                        let _ = wait.lock().map(|rx| rx.recv());
+                    }
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handles.iter().filter(|h| h.is_finished()).count() < 3 {
+            assert!(
+                Instant::now() < deadline,
+                "the returning threads never finished"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 2);
+        assert!(handles.iter().all(|h| !h.is_finished()));
+        for _ in 0..2 {
+            release.send(()).unwrap();
+        }
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    }
 }

@@ -55,12 +55,10 @@
 //! family aggregate where the pow2 mapper fails to expect strictly more
 //! conflicts than the prime one (the paper's headline, quantified).
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
 use vcache_cache::{CacheSim, StreamId, WordAddr};
 use vcache_mersenne::numtheory::{checked_pow_u128, gcd, Ratio};
-use vcache_workloads::{gather_trace, histogram_trace, spmv_gather_trace, zipf_weights, Program};
+use vcache_workloads::{gather_trace, spmv_gather_trace, zipf_weights, Histogram, Program};
 
 use crate::conflict::Geometry;
 use crate::lint::Finding;
@@ -128,18 +126,57 @@ impl AccessProfile {
     /// width), mirroring the generators' own contracts.
     #[must_use]
     pub fn sample_trace(&self, n: u64, seed: u64) -> Program {
+        self.sampler().trace(n, seed)
+    }
+
+    /// The generator this profile abstracts, with any table it draws
+    /// from built once.
+    fn sampler(&self) -> Sampler {
         match *self {
-            Self::UniformSpan { base, span } => gather_trace(base, span, n, seed),
+            Self::UniformSpan { base, span } => Sampler::Gather { base, span },
             Self::UniformStrided {
                 base,
                 stride,
                 count,
-            } => spmv_gather_trace(base, count, stride, n, seed),
+            } => Sampler::SpmvGather {
+                base,
+                rows: count,
+                row_words: stride,
+            },
             Self::Zipf {
                 base,
                 bins,
                 bin_words,
-            } => histogram_trace(base, bins, bin_words, n, seed),
+            } => Sampler::Histogram(Histogram::new(base, bins, bin_words)),
+        }
+    }
+}
+
+/// A profile's generator, ready to draw seeded traces: a Monte-Carlo
+/// row builds it once for all its sweeps.
+enum Sampler {
+    Gather {
+        base: u64,
+        span: u64,
+    },
+    SpmvGather {
+        base: u64,
+        rows: u64,
+        row_words: u64,
+    },
+    Histogram(Histogram),
+}
+
+impl Sampler {
+    fn trace(&self, n: u64, seed: u64) -> Program {
+        match *self {
+            Self::Gather { base, span } => gather_trace(base, span, n, seed),
+            Self::SpmvGather {
+                base,
+                rows,
+                row_words,
+            } => spmv_gather_trace(base, rows, row_words, n, seed),
+            Self::Histogram(ref histogram) => histogram.trace(n, seed),
         }
     }
 }
@@ -442,42 +479,68 @@ fn uniform_verdict(
     }
 }
 
-/// Assembles the verdict for an arbitrary per-line weight map (float
-/// path only — weighted supports have no occupancy-class shortcut).
+/// Per-line weights of support points listed in nondecreasing line
+/// order: a repeated line adds its weight to the entry it already has.
+fn line_weights(points: impl Iterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+    let mut weights: Vec<(u64, u64)> = Vec::new();
+    for (line, w) in points {
+        match weights.last_mut() {
+            Some((last, sum)) if *last == line => *sum += w,
+            last => {
+                debug_assert!(last.is_none_or(|(l, _)| *l < line), "lines out of order");
+                weights.push((line, w));
+            }
+        }
+    }
+    weights
+}
+
+/// Assembles the verdict for per-line weights, one entry per line in
+/// ascending line order (float path only — weighted supports have no
+/// occupancy-class shortcut).
 fn weighted_verdict(
     distribution: &'static str,
-    weight_by_line: &BTreeMap<u64, u64>,
+    weights: &[(u64, u64)],
     n: u64,
     geometry: &Geometry,
 ) -> ProbVerdict {
-    let total: u128 = weight_by_line.values().map(|&w| u128::from(w)).sum();
+    let total: u128 = weights.iter().map(|&(_, w)| u128::from(w)).sum();
     assert!(total > 0, "weighted support must carry positive mass");
     let total_f = total as f64;
     let nf = n as f64;
-    // Per-set first and second weight moments.
-    let mut by_set: BTreeMap<u64, (u128, u128)> = BTreeMap::new();
     let mut compulsory = 0.0;
-    for (&line, &w) in weight_by_line {
-        let entry = by_set.entry(geometry.set_of_line(line)).or_insert((0, 0));
-        entry.0 += u128::from(w);
-        entry.1 += u128::from(w) * u128::from(w);
+    for &(_, w) in weights {
         let q = w as f64 / total_f;
         compulsory += 1.0 - (1.0 - q).powf(nf);
     }
+    // Per-set first and second weight moments, summed in ascending set
+    // order. The moments are exact integers, so the order in which a
+    // set's lines are added does not matter.
+    let mut by_set: Vec<(u64, u64)> = weights
+        .iter()
+        .map(|&(line, w)| (geometry.set_of_line(line), w))
+        .collect();
+    by_set.sort_unstable_by_key(|&(set, _)| set);
     let mut distinct_sets = 0.0;
     let mut hits = 0.0;
     let mut sum_p_squared = 0.0;
-    for &(sw, sw2) in by_set.values() {
+    let mut occupied_sets = 0u64;
+    for set in by_set.chunk_by(|a, b| a.0 == b.0) {
+        let sw: u128 = set.iter().map(|&(_, w)| u128::from(w)).sum();
+        let sw2: u128 = set
+            .iter()
+            .map(|&(_, w)| u128::from(w) * u128::from(w))
+            .sum();
         let p = sw as f64 / total_f;
         let r = sw2 as f64 / (total_f * total_f);
         let touched = 1.0 - (1.0 - p).powf(nf);
         distinct_sets += touched;
         hits += (r / p) * (nf - touched / p);
         sum_p_squared += p * p;
+        occupied_sets += 1;
     }
     let total_misses = nf - hits;
-    let support_lines = u64::try_from(weight_by_line.len()).unwrap_or(u64::MAX);
-    let occupied_sets = u64::try_from(by_set.len()).unwrap_or(u64::MAX);
+    let support_lines = u64::try_from(weights.len()).unwrap_or(u64::MAX);
     ProbVerdict::ExpectedConflicts {
         expected_misses: (total_misses - compulsory).max(0.0),
         distinct_sets,
@@ -537,10 +600,7 @@ pub fn analyze_profile(profile: &AccessProfile, n: u64, geometry: &Geometry) -> 
             } else if count <= MAX_WEIGHTED_SUPPORT {
                 // Unaligned: points may share lines — materialize the
                 // per-line weights.
-                let mut weights = BTreeMap::new();
-                for i in 0..count {
-                    *weights.entry((base + i * stride) / lw).or_insert(0u64) += 1;
-                }
+                let weights = line_weights((0..count).map(|i| ((base + i * stride) / lw, 1)));
                 weighted_verdict("uniform-strided", &weights, n, geometry)
             } else {
                 // Oversized unaligned support: covering-span
@@ -557,11 +617,11 @@ pub fn analyze_profile(profile: &AccessProfile, n: u64, geometry: &Geometry) -> 
         } => {
             let bins = bins.clamp(1, MAX_WEIGHTED_SUPPORT - 1);
             let bin_words = bin_words.max(1);
-            let mut weights: BTreeMap<u64, u64> = BTreeMap::new();
-            for (b, w) in zipf_weights(bins).into_iter().enumerate() {
-                let b = u64::try_from(b).unwrap_or(0);
-                *weights.entry((base + b * bin_words) / lw).or_insert(0) += w;
-            }
+            let weights = line_weights(
+                (0..bins)
+                    .zip(zipf_weights(bins))
+                    .map(|(b, w)| ((base + b * bin_words) / lw, w)),
+            );
             weighted_verdict("zipf", &weights, n, geometry)
         }
     }
@@ -589,9 +649,10 @@ pub fn monte_carlo(
             line_words,
         } => CacheSim::prime_mapped(modulus.exponent(), *line_words).ok()?,
     };
+    let sampler = profile.sampler();
     let mut samples = Vec::new();
     for s in 0..sweeps {
-        let trace = profile.sample_trace(n, seed.wrapping_add(s));
+        let trace = sampler.trace(n, seed.wrapping_add(s));
         sim.reset();
         for (word, stream) in trace.words() {
             sim.access(WordAddr::new(word), StreamId::new(stream));
@@ -714,6 +775,8 @@ pub fn run() -> (Vec<ProbabilisticRow>, Vec<Finding>) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn pow2_geometry() -> Geometry {
@@ -809,6 +872,152 @@ mod tests {
         assert_eq!(model.support_lines, 256);
         assert!(verdict.distinct_sets() > 0.0 && verdict.distinct_sets() <= 256.0);
         assert!(verdict.bound() > 0.0 && verdict.bound() <= 1.0);
+    }
+
+    /// The ordered-map evaluation the sorted weights replaced: per-line
+    /// weights, then per-set moments, each in a `BTreeMap`.
+    fn btree_reference(profile: &AccessProfile, n: u64, geometry: &Geometry) -> ProbVerdict {
+        let lw = geometry.line_words();
+        let mut weight_by_line: BTreeMap<u64, u64> = BTreeMap::new();
+        match *profile {
+            AccessProfile::UniformStrided {
+                base,
+                stride,
+                count,
+            } => {
+                for i in 0..count {
+                    *weight_by_line.entry((base + i * stride) / lw).or_insert(0) += 1;
+                }
+            }
+            AccessProfile::Zipf {
+                base,
+                bins,
+                bin_words,
+            } => {
+                for (b, w) in (0..bins).zip(zipf_weights(bins)) {
+                    *weight_by_line
+                        .entry((base + b * bin_words) / lw)
+                        .or_insert(0) += w;
+                }
+            }
+            AccessProfile::UniformSpan { .. } => unreachable!("uniform spans are not weighted"),
+        }
+        let total: u128 = weight_by_line.values().map(|&w| u128::from(w)).sum();
+        let total_f = total as f64;
+        let nf = n as f64;
+        let mut by_set: BTreeMap<u64, (u128, u128)> = BTreeMap::new();
+        let mut compulsory = 0.0;
+        for (&line, &w) in &weight_by_line {
+            let entry = by_set.entry(geometry.set_of_line(line)).or_insert((0, 0));
+            entry.0 += u128::from(w);
+            entry.1 += u128::from(w) * u128::from(w);
+            compulsory += 1.0 - (1.0 - w as f64 / total_f).powf(nf);
+        }
+        let (mut distinct_sets, mut hits, mut sum_p_squared) = (0.0, 0.0, 0.0);
+        for &(sw, sw2) in by_set.values() {
+            let p = sw as f64 / total_f;
+            let r = sw2 as f64 / (total_f * total_f);
+            let touched = 1.0 - (1.0 - p).powf(nf);
+            distinct_sets += touched;
+            hits += (r / p) * (nf - touched / p);
+            sum_p_squared += p * p;
+        }
+        let total_misses = nf - hits;
+        let distribution = match profile {
+            AccessProfile::Zipf { .. } => "zipf",
+            _ => "uniform-strided",
+        };
+        ProbVerdict::ExpectedConflicts {
+            expected_misses: (total_misses - compulsory).max(0.0),
+            distinct_sets,
+            bound: tail_bound(sum_p_squared, n),
+            model: CollisionModel {
+                distribution,
+                support_lines: weight_by_line.len() as u64,
+                occupied_sets: by_set.len() as u64,
+                accesses: n,
+                sets: geometry.sets(),
+                associativity: 1,
+                line_words: lw,
+                expected_total_misses: total_misses,
+                expected_compulsory_misses: compulsory,
+                tail_threshold: TAIL_THRESHOLD,
+                arithmetic: Arithmetic::FloatNearestEven,
+            },
+        }
+    }
+
+    /// Every published float of a verdict, as bits.
+    fn float_bits(verdict: &ProbVerdict) -> [u64; 5] {
+        let model = verdict.model();
+        [
+            verdict.expected_misses().to_bits(),
+            verdict.distinct_sets().to_bits(),
+            verdict.bound().to_bits(),
+            model.expected_total_misses.to_bits(),
+            model.expected_compulsory_misses.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn sorted_weights_equal_the_ordered_map_reference_bit_for_bit() {
+        let profiles = [
+            // Unaligned strides whose points share lines: five points
+            // per 8-word line, and two per line at stride 3.
+            AccessProfile::UniformStrided {
+                base: 3,
+                stride: 5,
+                count: 20_000,
+            },
+            AccessProfile::UniformStrided {
+                base: 1,
+                stride: 3,
+                count: 9_000,
+            },
+            // Unaligned and wider than a line: one point per line, the
+            // lines folding onto few pow2 sets.
+            AccessProfile::UniformStrided {
+                base: 1,
+                stride: 4100,
+                count: 300,
+            },
+            // Zipf bins narrower than a line: several bins per line.
+            AccessProfile::Zipf {
+                base: 5,
+                bins: 16_384,
+                bin_words: 3,
+            },
+            AccessProfile::Zipf {
+                base: 0,
+                bins: 1000,
+                bin_words: 1,
+            },
+            // The worksuite's row: one bin per line.
+            AccessProfile::Zipf {
+                base: 0,
+                bins: 16_384,
+                bin_words: 8,
+            },
+        ];
+        let geometries = [
+            pow2_geometry(),
+            prime_geometry(),
+            Geometry::pow2(64, 4).unwrap(),
+        ];
+        for profile in &profiles {
+            for geometry in &geometries {
+                for n in [512, 1 << 16] {
+                    let verdict = analyze_profile(profile, n, geometry);
+                    let reference = btree_reference(profile, n, geometry);
+                    assert_eq!(verdict, reference, "{profile:?} {geometry} n={n}");
+                    assert_eq!(
+                        float_bits(&verdict),
+                        float_bits(&reference),
+                        "{profile:?} {geometry} n={n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

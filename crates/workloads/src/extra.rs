@@ -111,7 +111,8 @@ pub fn zipf_weights(bins: u64) -> Vec<u64> {
 /// seeded distribution of [`zipf_weights`] — the classic data-dependent
 /// scatter where a few hot bins absorb most of the traffic. Bin `b`
 /// lives at `base + b * bin_words`; each update touches the bin's first
-/// word.
+/// word. `Histogram::new(base, bins, bin_words).trace(n, seed)` draws the
+/// same trace from a table built once.
 ///
 /// # Panics
 ///
@@ -119,25 +120,61 @@ pub fn zipf_weights(bins: u64) -> Vec<u64> {
 /// count.
 #[must_use]
 pub fn histogram_trace(base: u64, bins: u64, bin_words: u64, n: u64, seed: u64) -> Program {
-    assert!(bin_words > 0, "bins must be at least one word wide");
-    let weights = zipf_weights(bins);
-    let mut cumulative = Vec::with_capacity(weights.len());
-    let mut total = 0u64;
-    for w in &weights {
-        total += w;
-        cumulative.push(total);
+    Histogram::new(base, bins, bin_words).trace(n, seed)
+}
+
+/// The generator behind [`histogram_trace`], with its cumulative Zipf
+/// weights built once, so that many seeded traces of one table pay for
+/// the table once.
+#[derive(Debug, Clone)]
+pub struct Histogram {
+    base: u64,
+    bin_words: u64,
+    /// Bin `b`'s entry is the sum of the weights of bins `0..=b`.
+    cumulative: Vec<u64>,
+}
+
+impl Histogram {
+    /// The scatter over `bins` bins of `bin_words` words from `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin_words` is zero, or via [`zipf_weights`] on a bad
+    /// bin count.
+    #[must_use]
+    pub fn new(base: u64, bins: u64, bin_words: u64) -> Self {
+        assert!(bin_words > 0, "bins must be at least one word wide");
+        let cumulative = zipf_weights(bins)
+            .into_iter()
+            .scan(0u64, |total, w| {
+                *total += w;
+                Some(*total)
+            })
+            .collect();
+        Self {
+            base,
+            bin_words,
+            cumulative,
+        }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let accesses = (0..n)
-        .map(|_| {
-            let r = rng.random_range(0..total);
-            // First bin whose cumulative weight exceeds r.
-            let bin = cumulative.partition_point(|&c| c <= r);
-            let bin = u64::try_from(bin).unwrap_or(bins - 1);
-            VectorAccess::single(base + bin * bin_words, 1, 1, 0)
-        })
-        .collect();
-    Program::new(format!("histogram[n={n}, bins={bins}]"), accesses)
+
+    /// `n` seeded updates, exactly those of [`histogram_trace`] with the
+    /// same table and seed.
+    #[must_use]
+    pub fn trace(&self, n: u64, seed: u64) -> Program {
+        let bins = self.cumulative.len() as u64;
+        let total = self.cumulative[self.cumulative.len() - 1];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let accesses = (0..n)
+            .map(|_| {
+                let r = rng.random_range(0..total);
+                // First bin whose cumulative weight exceeds r.
+                let bin = self.cumulative.partition_point(|&c| c <= r) as u64;
+                VectorAccess::single(self.base + bin * self.bin_words, 1, 1, 0)
+            })
+            .collect();
+        Program::new(format!("histogram[n={n}, bins={bins}]"), accesses)
+    }
 }
 
 /// Sparse SpMV-style row-gather: `n` loads, each at the head of a
@@ -273,6 +310,36 @@ mod tests {
         // 2048/256 = 8 updates a uniform scatter would give it.
         let hot = a.accesses.iter().filter(|x| x.base == 64).count();
         assert!(hot > 100, "bin 0 got only {hot} of 2048 updates");
+    }
+
+    #[test]
+    fn one_histogram_table_draws_what_each_fresh_table_draws() {
+        // The per-call draw the table replaced: cumulative weights
+        // rebuilt, then one partition-point search per update.
+        fn rebuilt_per_call(base: u64, bins: u64, bin_words: u64, n: u64, seed: u64) -> Vec<u64> {
+            let mut cumulative = Vec::new();
+            let mut total = 0u64;
+            for w in zipf_weights(bins) {
+                total += w;
+                cumulative.push(total);
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n)
+                .map(|_| {
+                    let r = rng.random_range(0..total);
+                    base + cumulative.partition_point(|&c| c <= r) as u64 * bin_words
+                })
+                .collect()
+        }
+        for (base, bins, bin_words) in [(0, 16_384, 8), (64, 256, 3), (5, 1, 1)] {
+            let table = Histogram::new(base, bins, bin_words);
+            for seed in [0, 1, 42, 0xC0FF_EE00, u64::MAX] {
+                let trace = table.trace(512, seed);
+                assert_eq!(trace, histogram_trace(base, bins, bin_words, 512, seed));
+                let words: Vec<u64> = trace.accesses.iter().map(|a| a.base).collect();
+                assert_eq!(words, rebuilt_per_call(base, bins, bin_words, 512, seed));
+            }
+        }
     }
 
     #[test]

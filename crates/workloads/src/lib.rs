@@ -36,7 +36,8 @@ mod program;
 mod vcm;
 
 pub use extra::{
-    gather_trace, histogram_trace, spmv_gather_trace, stencil5_trace, transpose_trace, zipf_weights,
+    gather_trace, histogram_trace, spmv_gather_trace, stencil5_trace, transpose_trace,
+    zipf_weights, Histogram,
 };
 pub use kernels::{
     blocked_lu_trace, blocked_matmul_trace, fft_phase_trace, fft_stage_trace, fft_two_dim_trace,
