@@ -5,7 +5,7 @@ use core::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use vcache_trace::{TraceEvent, TraceSink};
+use vcache_trace::{NullSink, TraceEvent, TraceSink};
 
 use crate::addr::{Geometry, LineAddr, WordAddr};
 use crate::classify::{ShadowCache, ShadowVerdict};
@@ -488,14 +488,13 @@ impl CacheSim {
     /// Accesses `word` exactly like [`CacheSim::access`], additionally
     /// emitting a [`TraceEvent::CacheAccess`] into `sink`.
     ///
-    /// The untraced path stays untouched: this wrapper synthesizes the
-    /// event from the returned [`AccessResult`], so code that never
-    /// attaches a sink pays nothing.
-    pub fn access_traced(
+    /// The event is synthesized from the returned [`AccessResult`], so
+    /// over [`NullSink`] it folds away.
+    pub fn access_traced<S: TraceSink + ?Sized>(
         &mut self,
         word: WordAddr,
         stream: StreamId,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> AccessResult {
         let result = self.access(word, stream);
         sink.record(&TraceEvent::CacheAccess {
@@ -512,13 +511,13 @@ impl CacheSim {
     /// Runs a strided vector through the cache like
     /// [`CacheSim::access_stream`], emitting one event per access.
     /// Returns the number of misses.
-    pub fn access_stream_traced(
+    pub fn access_stream_traced<S: TraceSink + ?Sized>(
         &mut self,
         base: WordAddr,
         stride: u64,
         length: u64,
         stream: StreamId,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> u64 {
         let mut misses = 0;
         for i in 0..length {
@@ -542,13 +541,7 @@ impl CacheSim {
         length: u64,
         stream: StreamId,
     ) -> u64 {
-        let mut misses = 0;
-        for i in 0..length {
-            if !self.access(base.offset(i, stride), stream).is_hit() {
-                misses += 1;
-            }
-        }
-        misses
+        self.access_stream_traced(base, stride, length, stream, &mut NullSink)
     }
 
     /// Replays a tagged word sequence `sweeps` times and returns the
@@ -846,6 +839,32 @@ mod tests {
         let misses2 = c.access_stream(WordAddr::new(0), 512, n, s0());
         assert_eq!(misses2, n); // zero reuse
         assert!(c.stats().conflict_misses() > 0);
+    }
+
+    #[test]
+    fn traced_stream_equals_the_plain_stream() {
+        let caches = || {
+            [
+                CacheSim::direct_mapped(8192, 1),
+                CacheSim::set_associative(8192, 4, 1, ReplacementPolicy::Lru),
+                CacheSim::prime_mapped(13, 1),
+            ]
+        };
+        for (plain, traced) in caches().into_iter().zip(caches()) {
+            let (mut plain, mut traced) = (plain.unwrap(), traced.unwrap());
+            let mut ring = vcache_trace::RingSink::new(usize::MAX);
+            let streams = [(1, 4096, 0), (24, 4096, 1), (512, 8191, 0), (8192, 64, 1)];
+            for (stride, length, stream) in streams.into_iter().cycle().take(8) {
+                let (base, stream) = (WordAddr::new(stream.into()), StreamId::new(stream));
+                let misses = plain.access_stream(base, stride, length, stream);
+                let traced_misses =
+                    traced.access_stream_traced(base, stride, length, stream, &mut ring);
+                assert_eq!(traced_misses, misses, "stride {stride}");
+            }
+            assert_eq!(traced.stats(), plain.stats());
+            assert_eq!(ring.dropped(), 0);
+            assert_eq!(ring.len() as u64, plain.stats().accesses);
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! The executors: MM-model and CC-model.
+//!
+//! Each machine holds its timing model once, in a `run` generic over the
+//! trace sink. `execute` runs it over [`NullSink`], whose no-op `record`
+//! inlines away, and `execute_traced` runs it behind a [`MeteringSink`].
 
 use vcache_cache::{CacheSim, StreamId, WordAddr};
 use vcache_mem::{
-    simulate_dual_stream, simulate_dual_stream_traced, simulate_single_stream,
-    simulate_single_stream_traced, MemoryConfig, StreamSpec,
+    simulate_dual_stream_traced, simulate_single_stream_traced, MemoryConfig, StreamSpec,
 };
-use vcache_trace::{MeteringSink, MetricsRegistry, PhaseKind, TraceEvent, TraceSink};
+use vcache_trace::{MeteringSink, MetricsRegistry, NullSink, PhaseKind, TraceEvent, TraceSink};
 use vcache_workloads::{Program, VectorAccess};
 
 use crate::config::{MachineConfig, MachineError};
@@ -26,6 +29,38 @@ fn to_spec(a: &VectorAccess) -> StreamSpec {
         stride: a.stride as u64, // two's complement wrapping encodes negatives
         length: a.length,
     }
+}
+
+/// Runs a machine's timing model behind a [`MeteringSink`] over `sink`
+/// and attaches the metrics it derived, with the `machine.cycles` and
+/// `machine.cycles_per_result` gauges, to the report.
+fn metered(
+    sink: &mut dyn TraceSink,
+    run: impl FnOnce(&mut MeteringSink<'_>) -> ExecutionReport,
+) -> ExecutionReport {
+    let mut metrics = MetricsRegistry::new();
+    // The meter folds its counts into `metrics` when it drops, at the end
+    // of this statement.
+    let mut report = run(&mut MeteringSink::new(sink, &mut metrics));
+    metrics.gauge("machine.cycles", report.cycles);
+    metrics.gauge("machine.cycles_per_result", report.cycles_per_result());
+    report.metrics = Some(metrics.snapshot());
+    report
+}
+
+/// Marks the start or end of phase `kind` at machine cycle `cycle`.
+fn phase<S: TraceSink + ?Sized>(
+    sink: &mut S,
+    begin: bool,
+    kind: PhaseKind,
+    sweep: u64,
+    cycle: f64,
+) {
+    sink.record(&if begin {
+        TraceEvent::PhaseBegin { kind, sweep, cycle }
+    } else {
+        TraceEvent::PhaseEnd { kind, sweep, cycle }
+    });
 }
 
 /// The cache-less MM-model vector processor (paper Figure 2).
@@ -54,116 +89,56 @@ impl MmMachine {
     /// Executes `program`, streaming every access through the banks.
     #[must_use]
     pub fn execute(&self, program: &Program) -> ExecutionReport {
-        let mut report = ExecutionReport::default();
-        let mut i = 0;
-        while i < program.accesses.len() {
-            let a = &program.accesses[i];
-            if a.paired_with_next && i + 1 < program.accesses.len() {
-                let b = &program.accesses[i + 1];
-                let dual = simulate_dual_stream(&self.memory, to_spec(a), to_spec(b));
-                let stalls = dual.total_stalls();
-                report.cycles += access_overhead(&self.config, a.length, 0)
-                    + a.length.max(b.length) as f64
-                    + stalls as f64;
-                report.overhead_cycles += access_overhead(&self.config, a.length, 0);
-                report.memory_stall_cycles += stalls;
-                report.results += a.length;
-                report.elements += a.length + b.length;
-                i += 2;
-            } else {
-                let single =
-                    simulate_single_stream(&self.memory, a.base, a.stride as u64, a.length);
-                report.cycles += access_overhead(&self.config, a.length, 0)
-                    + a.length as f64
-                    + single.stall_cycles as f64;
-                report.overhead_cycles += access_overhead(&self.config, a.length, 0);
-                report.memory_stall_cycles += single.stall_cycles;
-                report.results += a.length;
-                report.elements += a.length;
-                i += 1;
-            }
-        }
-        report
+        self.run(program, &mut NullSink)
     }
 
     /// [`execute`](Self::execute) with observability: every bank access is
     /// streamed to `sink`, phase boundaries are marked, and the returned
     /// report carries a [`MetricsSnapshot`](vcache_trace::MetricsSnapshot)
     /// in `report.metrics`.
-    ///
-    /// The timing model must stay byte-identical to `execute`; a test
-    /// asserts the two produce the same report (modulo `metrics`). Keep the
-    /// loop bodies in sync when editing either.
     #[must_use]
     pub fn execute_traced(&self, program: &Program, sink: &mut dyn TraceSink) -> ExecutionReport {
-        let mut metrics = MetricsRegistry::new();
+        metered(sink, |meter| self.run(program, meter))
+    }
+
+    /// The timing model: each access group (chime) is one phase, a paired
+    /// access rides both read buses, any other access streams alone.
+    fn run<S: TraceSink + ?Sized>(&self, program: &Program, sink: &mut S) -> ExecutionReport {
         let mut report = ExecutionReport::default();
-        {
-            let mut meter = MeteringSink::new(sink, &mut metrics);
-            meter.record(&TraceEvent::PhaseBegin {
-                kind: PhaseKind::Program,
-                sweep: 0,
-                cycle: 0.0,
-            });
-            let mut i = 0;
-            let mut sweep = 0;
-            while i < program.accesses.len() {
-                let a = &program.accesses[i];
-                meter.record(&TraceEvent::PhaseBegin {
-                    kind: PhaseKind::Chime,
-                    sweep,
-                    cycle: report.cycles,
-                });
-                if a.paired_with_next && i + 1 < program.accesses.len() {
-                    let b = &program.accesses[i + 1];
-                    let dual = simulate_dual_stream_traced(
-                        &self.memory,
-                        to_spec(a),
-                        to_spec(b),
-                        &mut meter,
-                    );
-                    let stalls = dual.total_stalls();
-                    report.cycles += access_overhead(&self.config, a.length, 0)
-                        + a.length.max(b.length) as f64
-                        + stalls as f64;
-                    report.overhead_cycles += access_overhead(&self.config, a.length, 0);
-                    report.memory_stall_cycles += stalls;
-                    report.results += a.length;
-                    report.elements += a.length + b.length;
-                    i += 2;
-                } else {
-                    let single = simulate_single_stream_traced(
-                        &self.memory,
-                        a.base,
-                        a.stride as u64,
-                        a.length,
-                        &mut meter,
-                    );
-                    report.cycles += access_overhead(&self.config, a.length, 0)
-                        + a.length as f64
-                        + single.stall_cycles as f64;
-                    report.overhead_cycles += access_overhead(&self.config, a.length, 0);
-                    report.memory_stall_cycles += single.stall_cycles;
-                    report.results += a.length;
-                    report.elements += a.length;
-                    i += 1;
-                }
-                meter.record(&TraceEvent::PhaseEnd {
-                    kind: PhaseKind::Chime,
-                    sweep,
-                    cycle: report.cycles,
-                });
-                sweep += 1;
+        phase(sink, true, PhaseKind::Program, 0, 0.0);
+        let mut i = 0;
+        let mut sweep = 0;
+        while i < program.accesses.len() {
+            let a = &program.accesses[i];
+            phase(sink, true, PhaseKind::Chime, sweep, report.cycles);
+            let overhead = access_overhead(&self.config, a.length, 0);
+            if a.paired_with_next && i + 1 < program.accesses.len() {
+                let b = &program.accesses[i + 1];
+                let dual = simulate_dual_stream_traced(&self.memory, to_spec(a), to_spec(b), sink);
+                let stalls = dual.total_stalls();
+                report.cycles += overhead + a.length.max(b.length) as f64 + stalls as f64;
+                report.memory_stall_cycles += stalls;
+                report.elements += a.length + b.length;
+                i += 2;
+            } else {
+                let single = simulate_single_stream_traced(
+                    &self.memory,
+                    a.base,
+                    a.stride as u64,
+                    a.length,
+                    sink,
+                );
+                report.cycles += overhead + a.length as f64 + single.stall_cycles as f64;
+                report.memory_stall_cycles += single.stall_cycles;
+                report.elements += a.length;
+                i += 1;
             }
-            meter.record(&TraceEvent::PhaseEnd {
-                kind: PhaseKind::Program,
-                sweep: 0,
-                cycle: report.cycles,
-            });
+            report.overhead_cycles += overhead;
+            report.results += a.length;
+            phase(sink, false, PhaseKind::Chime, sweep, report.cycles);
+            sweep += 1;
         }
-        metrics.gauge("machine.cycles", report.cycles);
-        metrics.gauge("machine.cycles_per_result", report.cycles_per_result());
-        report.metrics = Some(metrics.snapshot());
+        phase(sink, false, PhaseKind::Program, 0, report.cycles);
         report
     }
 }
@@ -213,28 +188,33 @@ impl CcMachine {
     /// Executes `program` through the cache, consuming accumulated state
     /// (call repeatedly to model phase sequences sharing one cache).
     pub fn execute(&mut self, program: &Program) -> ExecutionReport {
+        self.run(program, &mut NullSink)
+    }
+
+    /// [`execute`](Self::execute) with observability: every cache access and
+    /// every bank access of a full-miss load is streamed to `sink`, phase
+    /// boundaries are marked, and the returned report carries a
+    /// [`MetricsSnapshot`](vcache_trace::MetricsSnapshot) in
+    /// `report.metrics`.
+    pub fn execute_traced(
+        &mut self,
+        program: &Program,
+        sink: &mut dyn TraceSink,
+    ) -> ExecutionReport {
+        metered(sink, |meter| self.run(program, meter))
+    }
+
+    /// The timing model: each access group (chime) is one phase whose
+    /// streams first run through the cache, then pay for their misses.
+    fn run<S: TraceSink + ?Sized>(&mut self, program: &Program, sink: &mut S) -> ExecutionReport {
         let mut report = ExecutionReport::default();
+        phase(sink, true, PhaseKind::Program, 0, 0.0);
         let mut i = 0;
+        let mut sweep = 0;
         while i < program.accesses.len() {
             let a = &program.accesses[i];
             let paired = a.paired_with_next && i + 1 < program.accesses.len();
-            let (results, elements) = if paired {
-                let b = &program.accesses[i + 1];
-                (a.length, a.length + b.length)
-            } else {
-                (a.length, a.length)
-            };
-
-            let run_access = |acc: &VectorAccess, cache: &mut CacheSim| {
-                let mut m = 0;
-                for k in 0..acc.length {
-                    let word = WordAddr::new(acc.word(k));
-                    if !cache.access(word, StreamId::new(acc.stream)).is_hit() {
-                        m += 1;
-                    }
-                }
-                m
-            };
+            phase(sink, true, PhaseKind::Chime, sweep, report.cycles);
 
             // Per-stream miss handling: a stream that misses on every
             // element is an initial load and pipelines through the banks;
@@ -249,7 +229,13 @@ impl CcMachine {
             let mut cache_stalls = 0u64;
             let mut all_hit = true;
             for (s, acc) in streams.iter().enumerate() {
-                let misses = run_access(acc, &mut self.cache);
+                let misses = self.cache.access_stream_traced(
+                    WordAddr::new(acc.base),
+                    acc.stride as u64,
+                    acc.length,
+                    StreamId::new(acc.stream),
+                    sink,
+                );
                 if misses == acc.length && acc.length > 0 {
                     all_hit = false;
                     full_miss[s] = true;
@@ -263,16 +249,18 @@ impl CcMachine {
                     // Both streams load together: dual-bus bank contention.
                     let b = &program.accesses[i + 1];
                     mem_stalls =
-                        simulate_dual_stream(&self.memory, to_spec(a), to_spec(b)).total_stalls();
+                        simulate_dual_stream_traced(&self.memory, to_spec(a), to_spec(b), sink)
+                            .total_stalls();
                 }
                 _ => {
                     for (s, acc) in streams.iter().enumerate() {
                         if full_miss[s] {
-                            mem_stalls += simulate_single_stream(
+                            mem_stalls += simulate_single_stream_traced(
                                 &self.memory,
                                 acc.base,
                                 acc.stride as u64,
                                 acc.length,
+                                sink,
                             )
                             .stall_cycles;
                         }
@@ -282,150 +270,20 @@ impl CcMachine {
             // Equation (4): an access served entirely from cache starts up
             // t_m cycles sooner.
             let startup_reduction = if all_hit { self.config.t_m } else { 0 };
+            let overhead = access_overhead(&self.config, a.length, startup_reduction);
 
-            report.cycles += access_overhead(&self.config, a.length, startup_reduction)
-                + results as f64
-                + (mem_stalls + cache_stalls) as f64;
-            report.overhead_cycles += access_overhead(&self.config, a.length, startup_reduction);
+            report.cycles += overhead + a.length as f64 + (mem_stalls + cache_stalls) as f64;
+            report.overhead_cycles += overhead;
             report.memory_stall_cycles += mem_stalls;
             report.cache_stall_cycles += cache_stalls;
-            report.results += results;
-            report.elements += elements;
-            i += if paired { 2 } else { 1 };
+            report.results += a.length;
+            report.elements += streams.iter().map(|acc| acc.length).sum::<u64>();
+            phase(sink, false, PhaseKind::Chime, sweep, report.cycles);
+            sweep += 1;
+            i += streams.len();
         }
+        phase(sink, false, PhaseKind::Program, 0, report.cycles);
         report.cache_stats = Some(self.cache.stats());
-        report
-    }
-
-    /// [`execute`](Self::execute) with observability: every cache access and
-    /// every bank access of a full-miss load is streamed to `sink`, phase
-    /// boundaries are marked, and the returned report carries a
-    /// [`MetricsSnapshot`](vcache_trace::MetricsSnapshot) in
-    /// `report.metrics`.
-    ///
-    /// The timing model must stay byte-identical to `execute`; a test
-    /// asserts the two produce the same report (modulo `metrics`). Keep the
-    /// loop bodies in sync when editing either.
-    pub fn execute_traced(
-        &mut self,
-        program: &Program,
-        sink: &mut dyn TraceSink,
-    ) -> ExecutionReport {
-        let mut metrics = MetricsRegistry::new();
-        let mut report = ExecutionReport::default();
-        {
-            let mut meter = MeteringSink::new(sink, &mut metrics);
-            meter.record(&TraceEvent::PhaseBegin {
-                kind: PhaseKind::Program,
-                sweep: 0,
-                cycle: 0.0,
-            });
-            let mut i = 0;
-            let mut sweep = 0;
-            while i < program.accesses.len() {
-                let a = &program.accesses[i];
-                let paired = a.paired_with_next && i + 1 < program.accesses.len();
-                let (results, elements) = if paired {
-                    let b = &program.accesses[i + 1];
-                    (a.length, a.length + b.length)
-                } else {
-                    (a.length, a.length)
-                };
-                meter.record(&TraceEvent::PhaseBegin {
-                    kind: PhaseKind::Chime,
-                    sweep,
-                    cycle: report.cycles,
-                });
-
-                let run_access =
-                    |acc: &VectorAccess, cache: &mut CacheSim, sink: &mut MeteringSink| {
-                        let mut m = 0;
-                        for k in 0..acc.length {
-                            let word = WordAddr::new(acc.word(k));
-                            if !cache
-                                .access_traced(word, StreamId::new(acc.stream), sink)
-                                .is_hit()
-                            {
-                                m += 1;
-                            }
-                        }
-                        m
-                    };
-
-                let streams: &[&VectorAccess] = if paired {
-                    &[a, &program.accesses[i + 1]]
-                } else {
-                    &[a]
-                };
-                let mut full_miss = [false; 2];
-                let mut mem_stalls = 0u64;
-                let mut cache_stalls = 0u64;
-                let mut all_hit = true;
-                for (s, acc) in streams.iter().enumerate() {
-                    let misses = run_access(acc, &mut self.cache, &mut meter);
-                    if misses == acc.length && acc.length > 0 {
-                        all_hit = false;
-                        full_miss[s] = true;
-                    } else if misses > 0 {
-                        all_hit = false;
-                        cache_stalls += misses * self.config.t_m;
-                    }
-                }
-                match full_miss {
-                    [true, true] => {
-                        let b = &program.accesses[i + 1];
-                        mem_stalls = simulate_dual_stream_traced(
-                            &self.memory,
-                            to_spec(a),
-                            to_spec(b),
-                            &mut meter,
-                        )
-                        .total_stalls();
-                    }
-                    _ => {
-                        for (s, acc) in streams.iter().enumerate() {
-                            if full_miss[s] {
-                                mem_stalls += simulate_single_stream_traced(
-                                    &self.memory,
-                                    acc.base,
-                                    acc.stride as u64,
-                                    acc.length,
-                                    &mut meter,
-                                )
-                                .stall_cycles;
-                            }
-                        }
-                    }
-                }
-                let startup_reduction = if all_hit { self.config.t_m } else { 0 };
-
-                report.cycles += access_overhead(&self.config, a.length, startup_reduction)
-                    + results as f64
-                    + (mem_stalls + cache_stalls) as f64;
-                report.overhead_cycles +=
-                    access_overhead(&self.config, a.length, startup_reduction);
-                report.memory_stall_cycles += mem_stalls;
-                report.cache_stall_cycles += cache_stalls;
-                report.results += results;
-                report.elements += elements;
-                meter.record(&TraceEvent::PhaseEnd {
-                    kind: PhaseKind::Chime,
-                    sweep,
-                    cycle: report.cycles,
-                });
-                sweep += 1;
-                i += if paired { 2 } else { 1 };
-            }
-            meter.record(&TraceEvent::PhaseEnd {
-                kind: PhaseKind::Program,
-                sweep: 0,
-                cycle: report.cycles,
-            });
-        }
-        metrics.gauge("machine.cycles", report.cycles);
-        metrics.gauge("machine.cycles_per_result", report.cycles_per_result());
-        report.cache_stats = Some(self.cache.stats());
-        report.metrics = Some(metrics.snapshot());
         report
     }
 }
@@ -434,7 +292,8 @@ impl CcMachine {
 mod tests {
     use super::*;
     use crate::config::CacheSpec;
-    use vcache_workloads::{generate_program, saxpy_trace, Vcm};
+    use vcache_trace::RingSink;
+    use vcache_workloads::{generate_program, saxpy_trace, StrideDistribution, Vcm};
 
     fn program_unit_reuse(b: u64, r: u64) -> Program {
         let vcm = Vcm {
@@ -545,53 +404,181 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn mm_traced_matches_untraced() {
-        use vcache_trace::{NullSink, RingSink, TraceEvent};
-        let m = MmMachine::new(MachineConfig::paper_default(16)).unwrap();
-        let program = saxpy_trace(0, 100_000, 300);
-        let plain = m.execute(&program);
-        let traced = m.execute_traced(&program, &mut NullSink);
-        assert_eq!(traced.cycles, plain.cycles);
-        assert_eq!(traced.results, plain.results);
-        assert_eq!(traced.elements, plain.elements);
-        assert_eq!(traced.memory_stall_cycles, plain.memory_stall_cycles);
-        assert_eq!(traced.overhead_cycles, plain.overhead_cycles);
-        let metrics = traced.metrics.expect("traced run collects metrics");
-        assert_eq!(metrics.counter("mem.accesses"), traced.elements);
-        assert_eq!(metrics.counter("machine.chimes"), 1); // saxpy: one paired group
+    /// A cold paired load (SAXPY), then strided VCM blocks with
+    /// double-stream sweeps: between them every branch of the CC
+    /// machine's miss handling.
+    fn mixed_program() -> Program {
+        let vcm = Vcm {
+            blocking_factor: 1024,
+            reuse_factor: 4,
+            p_ds: 0.5,
+            stride1: StrideDistribution::UnitOrUniform {
+                p_unit: 0.25,
+                max: 64,
+            },
+            stride2: StrideDistribution::Fixed(1),
+        };
+        let mut accesses = saxpy_trace(1 << 40, (1 << 40) + 100_000, 300).accesses;
+        accesses.extend(generate_program(&vcm, 1 << 14, 7).accesses);
+        Program::new("saxpy+vcm", accesses)
+    }
 
-        let mut ring = RingSink::new(4096);
-        let _ = m.execute_traced(&program, &mut ring);
-        let banks = ring
-            .events()
-            .filter(|e| matches!(e, TraceEvent::BankAccess { .. }))
-            .count() as u64;
-        assert_eq!(banks, traced.elements);
+    /// The benchmark's three caches: direct, 4-way LRU and prime.
+    fn benchmark_caches() -> [CacheSpec; 3] {
+        [
+            CacheSpec::direct(8192),
+            CacheSpec::SetAssociative {
+                lines: 8192,
+                ways: 4,
+                line_words: 1,
+                policy: vcache_cache::ReplacementPolicy::Lru,
+            },
+            CacheSpec::prime(13),
+        ]
+    }
+
+    /// Events of each kind: cache, bank, phase.
+    fn count_kinds(ring: &RingSink) -> [u64; 3] {
+        let mut counts = [0; 3];
+        for e in ring.events() {
+            counts[match e {
+                TraceEvent::CacheAccess { .. } => 0,
+                TraceEvent::BankAccess { .. } => 1,
+                TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. } => 2,
+            }] += 1;
+        }
+        counts
+    }
+
+    /// The program split into access groups the way both machines walk
+    /// it: a paired access and the one after it, or one access alone.
+    fn groups(program: &Program) -> Vec<&[VectorAccess]> {
+        let mut out = Vec::new();
+        let mut rest = &program.accesses[..];
+        while let Some(a) = rest.first() {
+            let (group, tail) =
+                rest.split_at(1 + usize::from(a.paired_with_next && rest.len() > 1));
+            out.push(group);
+            rest = tail;
+        }
+        out
+    }
+
+    /// Each chime's events split at its phase boundaries.
+    fn chimes(ring: &RingSink) -> Vec<Vec<&TraceEvent>> {
+        let mut out = Vec::new();
+        for e in ring.events() {
+            match e {
+                TraceEvent::PhaseBegin {
+                    kind: PhaseKind::Chime,
+                    ..
+                } => out.push(Vec::new()),
+                TraceEvent::PhaseEnd { .. } | TraceEvent::PhaseBegin { .. } => {}
+                _ => out.last_mut().expect("events sit inside a chime").push(e),
+            }
+        }
+        out
     }
 
     #[test]
-    fn cc_traced_matches_untraced() {
-        use vcache_trace::NullSink;
-        let cfg = MachineConfig::paper_default(16).with_cache(CacheSpec::prime(13));
-        let program = program_unit_reuse(1024, 4);
-        let plain = CcMachine::new(cfg.clone()).unwrap().execute(&program);
-        let traced = CcMachine::new(cfg)
-            .unwrap()
-            .execute_traced(&program, &mut NullSink);
-        assert_eq!(traced.cycles, plain.cycles);
-        assert_eq!(traced.results, plain.results);
-        assert_eq!(traced.memory_stall_cycles, plain.memory_stall_cycles);
-        assert_eq!(traced.cache_stall_cycles, plain.cache_stall_cycles);
-        assert_eq!(traced.cache_stats, plain.cache_stats);
-        let metrics = traced.metrics.expect("traced run collects metrics");
-        let stats = traced.cache_stats.unwrap();
-        assert_eq!(metrics.counter("cache.accesses"), stats.accesses);
-        assert_eq!(metrics.counter("cache.hits"), stats.hits);
-        assert_eq!(
-            metrics.counter("cache.miss.compulsory"),
-            stats.compulsory_misses
-        );
+    fn mm_traced_run_equals_the_plain_run() {
+        let m = MmMachine::new(MachineConfig::paper_default(16)).unwrap();
+        let program = mixed_program();
+        let plain = m.execute(&program);
+        assert!(plain.metrics.is_none());
+        let mut ring = RingSink::new(usize::MAX);
+        let mut traced = m.execute_traced(&program, &mut ring);
+        let metrics = traced.metrics.take().expect("traced run collects metrics");
+        assert_eq!(traced, plain);
+
+        assert_eq!(ring.dropped(), 0);
+        let [cache, bank, phase] = count_kinds(&ring);
+        assert_eq!(cache, 0);
+        assert_eq!(bank, plain.elements);
+        assert_eq!(phase, 2 + 2 * metrics.counter("machine.chimes"));
+        assert_eq!(metrics.counter("mem.accesses"), plain.elements);
+
+        // One chime per access group, a pair included, and each chime
+        // streams exactly its group's elements through the banks.
+        let groups = groups(&program);
+        assert!(groups.iter().any(|g| g.len() == 2) && groups.iter().any(|g| g.len() == 1));
+        assert_eq!(metrics.counter("machine.chimes"), groups.len() as u64);
+        let chimes = chimes(&ring);
+        assert_eq!(chimes.len(), groups.len());
+        for (events, group) in chimes.iter().zip(&groups) {
+            let banks = events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::BankAccess { .. }))
+                .count() as u64;
+            assert_eq!(banks, group.iter().map(|a| a.length).sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn cc_traced_run_equals_the_plain_run_on_every_branch() {
+        let program = mixed_program();
+        for spec in benchmark_caches() {
+            let cfg = MachineConfig::paper_default(16).with_cache(spec);
+            let plain = CcMachine::new(cfg.clone()).unwrap().execute(&program);
+            assert!(plain.metrics.is_none());
+            let mut ring = RingSink::new(usize::MAX);
+            let mut traced = CcMachine::new(cfg)
+                .unwrap()
+                .execute_traced(&program, &mut ring);
+            let metrics = traced.metrics.take().expect("traced run collects metrics");
+            assert_eq!(traced, plain, "{spec:?}");
+
+            assert_eq!(ring.dropped(), 0);
+            let stats = plain.cache_stats.unwrap();
+            let [cache, _, phase] = count_kinds(&ring);
+            assert_eq!(cache, stats.accesses, "{spec:?}");
+            assert_eq!(phase, 2 + 2 * metrics.counter("machine.chimes"));
+            assert_eq!(metrics.counter("cache.accesses"), stats.accesses);
+            assert_eq!(metrics.counter("cache.hits"), stats.hits);
+            assert_eq!(
+                metrics.counter("cache.miss.compulsory"),
+                stats.compulsory_misses
+            );
+
+            // Walk the chimes beside the program's access groups: a stream
+            // that missed on every element loads through the banks, and
+            // nothing else does.
+            let groups = groups(&program);
+            assert_eq!(metrics.counter("machine.chimes"), groups.len() as u64);
+            let chimes = chimes(&ring);
+            assert_eq!(chimes.len(), groups.len());
+            let mut reached = [false; 4]; // dual full-miss, single full-miss, scattered, all-hit
+            for (events, streams) in chimes.iter().zip(&groups) {
+                let mut misses = events.iter().filter_map(|e| match e {
+                    TraceEvent::CacheAccess { miss, .. } => Some(miss.is_some()),
+                    _ => None,
+                });
+                let (mut full, mut loaded, mut scattered) = (0, 0, false);
+                for acc in *streams {
+                    let missed = misses
+                        .by_ref()
+                        .take(acc.length as usize)
+                        .filter(|&m| m)
+                        .count() as u64;
+                    if missed == acc.length && acc.length > 0 {
+                        full += 1;
+                        loaded += acc.length;
+                    } else {
+                        scattered |= missed > 0;
+                    }
+                }
+                let banks = events
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::BankAccess { .. }))
+                    .count() as u64;
+                assert_eq!(banks, loaded, "{spec:?}");
+                reached[0] |= full == 2;
+                reached[1] |= full == 1;
+                reached[2] |= scattered;
+                reached[3] |= full == 0 && !scattered;
+            }
+            assert_eq!(reached, [true; 4], "{spec:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 use vcache_mersenne::numtheory::is_prime;
-use vcache_trace::{BankEventKind, TraceEvent, TraceSink};
 
 /// How word addresses are distributed over banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -104,6 +103,7 @@ impl MemoryConfig {
 
     /// Bank access time `t_m` in processor cycles.
     #[must_use]
+    #[inline]
     pub fn access_time(&self) -> u64 {
         self.access_time
     }
@@ -116,6 +116,7 @@ impl MemoryConfig {
 
     /// The bank holding word address `addr`.
     #[must_use]
+    #[inline]
     pub fn bank_of(&self, addr: u64) -> u64 {
         addr % self.banks
     }
@@ -177,6 +178,7 @@ pub struct InterleavedMemory {
 impl InterleavedMemory {
     /// Creates an idle memory system.
     #[must_use]
+    #[inline]
     pub fn new(config: MemoryConfig) -> Self {
         Self {
             config,
@@ -195,6 +197,7 @@ impl InterleavedMemory {
     ///
     /// If the bank is busy the access waits; the outcome records when it
     /// actually issued, when it completes, and how long it stalled.
+    #[inline]
     pub fn access(&mut self, addr: u64, requested_time: u64) -> AccessOutcome {
         let bank = self.config.bank_of(addr) as usize;
         let issue_time = requested_time.max(self.busy_until[bank]);
@@ -213,35 +216,9 @@ impl InterleavedMemory {
         }
     }
 
-    /// Issues an access exactly like [`InterleavedMemory::access`],
-    /// additionally emitting a [`TraceEvent::BankAccess`] into `sink`.
-    ///
-    /// The untraced path stays untouched: the event is synthesized from
-    /// the returned [`AccessOutcome`], so code without a sink pays
-    /// nothing.
-    pub fn access_traced(
-        &mut self,
-        addr: u64,
-        requested_time: u64,
-        sink: &mut dyn TraceSink,
-    ) -> AccessOutcome {
-        let outcome = self.access(addr, requested_time);
-        sink.record(&TraceEvent::BankAccess {
-            bank: self.config.bank_of(addr),
-            addr,
-            requested: requested_time,
-            wait: outcome.stall_cycles,
-            state: if outcome.stall_cycles > 0 {
-                BankEventKind::Busy
-            } else {
-                BankEventKind::Free
-            },
-        });
-        outcome
-    }
-
     /// The cycle at which the bank of `addr` becomes free.
     #[must_use]
+    #[inline]
     pub fn bank_free_at(&self, addr: u64) -> u64 {
         self.busy_until[self.config.bank_of(addr) as usize]
     }

@@ -81,24 +81,13 @@ pub fn simulate_single_stream(
     stride: u64,
     length: u64,
 ) -> StreamOutcome {
-    // Monomorphized over NullSink: the event plumbing folds away and this
-    // compiles to the same loop as before instrumentation existed.
-    run_single_stream(config, base, stride, length, &mut NullSink)
+    // Over NullSink the event plumbing folds away.
+    simulate_single_stream_traced(config, base, stride, length, &mut NullSink)
 }
 
 /// [`simulate_single_stream`] with every bank access emitted into `sink`
 /// as a [`TraceEvent::BankAccess`].
-pub fn simulate_single_stream_traced(
-    config: &MemoryConfig,
-    base: u64,
-    stride: u64,
-    length: u64,
-    sink: &mut dyn TraceSink,
-) -> StreamOutcome {
-    run_single_stream(config, base, stride, length, sink)
-}
-
-fn run_single_stream<S: TraceSink + ?Sized>(
+pub fn simulate_single_stream_traced<S: TraceSink + ?Sized>(
     config: &MemoryConfig,
     base: u64,
     stride: u64,
@@ -179,22 +168,13 @@ pub fn simulate_dual_stream(
     first: StreamSpec,
     second: StreamSpec,
 ) -> DualStreamOutcome {
-    run_dual_stream(config, first, second, &mut NullSink)
+    simulate_dual_stream_traced(config, first, second, &mut NullSink)
 }
 
 /// [`simulate_dual_stream`] with every bank access of the contended run
 /// emitted into `sink` (the solo re-runs used to isolate
 /// cross-interference are not traced).
-pub fn simulate_dual_stream_traced(
-    config: &MemoryConfig,
-    first: StreamSpec,
-    second: StreamSpec,
-    sink: &mut dyn TraceSink,
-) -> DualStreamOutcome {
-    run_dual_stream(config, first, second, sink)
-}
-
-fn run_dual_stream<S: TraceSink + ?Sized>(
+pub fn simulate_dual_stream_traced<S: TraceSink + ?Sized>(
     config: &MemoryConfig,
     first: StreamSpec,
     second: StreamSpec,

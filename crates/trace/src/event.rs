@@ -141,9 +141,8 @@ pub enum TraceEvent {
         /// Line address displaced to make room, if any.
         evicted: Option<u64>,
     },
-    /// One memory-bank access (emitted by
-    /// `InterleavedMemory::access_traced` and the traced stream
-    /// simulators).
+    /// One memory-bank access (emitted by the stream simulators,
+    /// `simulate_single_stream_traced` and `simulate_dual_stream_traced`).
     BankAccess {
         /// Bank that served the access.
         bank: u64,
@@ -156,7 +155,8 @@ pub enum TraceEvent {
         /// Whether the bank was free or busy at request time.
         state: BankEventKind,
     },
-    /// A machine phase opens (emitted by `execute_traced`).
+    /// A machine phase opens (emitted by the `MmMachine` and `CcMachine`
+    /// timing models, seen through `execute_traced`).
     PhaseBegin {
         /// What kind of phase.
         kind: PhaseKind,

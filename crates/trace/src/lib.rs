@@ -9,11 +9,9 @@ pub mod metrics;
 pub mod shared;
 pub mod sink;
 pub mod span;
-pub mod timer;
 
 pub use event::{BankEventKind, MissClass, ParseError, PhaseKind, TraceEvent};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, RollingWindow};
-pub use shared::{SharedMetrics, SharedSink};
+pub use shared::SharedMetrics;
 pub use sink::{JsonlSink, MeteringSink, NullSink, RingSink, TraceSink};
 pub use span::{SpanCollector, SpanContext, SpanCounts, SpanHandle, SpanRecord};
-pub use timer::ScopeTimer;

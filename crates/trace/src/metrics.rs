@@ -398,18 +398,15 @@ impl MetricsSnapshot {
             }
         }
         for h in &other.histograms {
-            match out
-                .histograms
-                .iter_mut()
-                .find(|m| m.name == h.name && m.bounds == h.bounds)
-            {
-                Some(mine) => {
+            match out.histograms.iter_mut().find(|m| m.name == h.name) {
+                Some(mine) if mine.bounds == h.bounds => {
                     for (a, b) in mine.counts.iter_mut().zip(&h.counts) {
                         *a += b;
                     }
                     mine.total += h.total;
                     mine.sum = mine.sum.saturating_add(h.sum);
                 }
+                Some(mine) => *mine = h.clone(),
                 None => out.histograms.push(h.clone()),
             }
         }
@@ -556,6 +553,20 @@ mod tests {
         assert_eq!(merged.counter("y"), 5);
         assert_eq!(merged.gauges[0].value, 9.0);
         assert_eq!(merged.histograms[0].total, 2);
+
+        // Other bounds under the same name: `other`'s histogram replaces
+        // the old one rather than standing beside it.
+        let mut c = MetricsRegistry::new();
+        c.register_histogram("h", &[5, 50]);
+        c.observe("h", 7);
+        let other = c.snapshot();
+        let replaced = merged.merged(&other);
+        let named_h: Vec<_> = replaced
+            .histograms
+            .iter()
+            .filter(|h| h.name == "h")
+            .collect();
+        assert_eq!(named_h, [&other.histograms[0]]);
     }
 
     #[test]

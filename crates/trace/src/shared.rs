@@ -1,20 +1,18 @@
-//! Thread-safe wrappers for sharing a metrics registry and a trace sink
-//! across threads — the daemon (`vcache serve`) runs a worker pool that
-//! feeds one registry and one flight-recorder sink from every worker.
+//! A thread-safe handle for sharing a metrics registry across threads:
+//! the daemon (`vcache serve`) feeds one registry from its connection
+//! threads and every worker.
 //!
-//! Both wrappers are cheap clone-able handles over `Arc<Mutex<_>>`.
-//! Locks are *poison-tolerant*: a panic in one worker (the daemon
-//! catches panics per request) must not wedge metrics for the rest of
-//! the process, so a poisoned lock is recovered by taking the inner
-//! value as-is. Counters and histograms are updated atomically under
-//! the lock, so snapshots are never torn: a [`MetricsSnapshot`] always
-//! reflects a single consistent instant.
+//! The handle is a cheap clone over `Arc<Mutex<_>>`. The lock is
+//! *poison-tolerant*: a panic in one worker (the daemon catches panics
+//! per request) must not wedge metrics for the rest of the process, so a
+//! poisoned lock is recovered by taking the inner value as-is. Counters
+//! and histograms are updated atomically under the lock, so snapshots
+//! are never torn: a [`MetricsSnapshot`] always reflects a single
+//! consistent instant.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::event::TraceEvent;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::sink::TraceSink;
 
 /// A clone-able, thread-safe handle to a [`MetricsRegistry`].
 #[derive(Debug, Clone, Default)]
@@ -69,66 +67,9 @@ impl SharedMetrics {
     }
 }
 
-/// A clone-able, thread-safe handle to any [`TraceSink`]; the handle
-/// itself implements [`TraceSink`], so instrumented code takes it like
-/// any other sink.
-#[derive(Debug, Default)]
-pub struct SharedSink<S> {
-    inner: Arc<Mutex<S>>,
-}
-
-// Manual impl: `#[derive(Clone)]` would needlessly require `S: Clone`.
-impl<S> Clone for SharedSink<S> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<S: TraceSink> SharedSink<S> {
-    /// Wraps `sink` for cross-thread sharing.
-    #[must_use]
-    pub fn new(sink: S) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(sink)),
-        }
-    }
-
-    /// Runs `f` with the sink locked — e.g. to drain a wrapped
-    /// [`crate::RingSink`].
-    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
-    }
-}
-
-impl<S: TraceSink> TraceSink for SharedSink<S> {
-    fn record(&mut self, event: &TraceEvent) {
-        self.with(|s| s.record(event));
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.with(|s| s.flush())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MissClass;
-    use crate::sink::RingSink;
-
-    fn ev(seq: u64) -> TraceEvent {
-        TraceEvent::CacheAccess {
-            seq,
-            word: seq,
-            stream: 0,
-            set: 0,
-            miss: Some(MissClass::Compulsory),
-            evicted: None,
-        }
-    }
 
     #[test]
     fn handles_share_one_registry() {
@@ -143,17 +84,6 @@ mod tests {
         let snap = a.snapshot();
         assert_eq!(snap.counter("x"), 3);
         assert_eq!(snap.histograms[0].total, 1);
-    }
-
-    #[test]
-    fn shared_sink_records_from_clones() {
-        let sink = SharedSink::new(RingSink::new(8));
-        let mut a = sink.clone();
-        let mut b = sink.clone();
-        a.record(&ev(1));
-        b.record(&ev(2));
-        assert!(a.flush().is_ok());
-        assert_eq!(sink.with(|r| r.len()), 2);
     }
 
     #[test]

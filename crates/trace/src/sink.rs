@@ -1,9 +1,11 @@
 //! Event sinks: where trace events go.
 //!
-//! Instrumented code takes `&mut dyn TraceSink`; three implementations
-//! cover the use cases — [`NullSink`] (discard), [`RingSink`] (bounded
-//! in-memory tail for tests and post-mortem), [`JsonlSink`] (streaming
-//! JSONL file for `vcache analyze`).
+//! Instrumented code is generic over `S: TraceSink + ?Sized`, so one body
+//! serves both a concrete sink and `&mut dyn TraceSink`. Three
+//! implementations cover the use cases — [`NullSink`] (discard), [`RingSink`]
+//! (bounded in-memory tail for tests and post-mortem), [`JsonlSink`]
+//! (streaming JSONL file for `vcache analyze`) — and [`MeteringSink`]
+//! derives metrics on the way to another sink.
 
 use std::collections::VecDeque;
 use std::fs::File;

@@ -124,22 +124,27 @@ run 900 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # never per enumeration step).
 run 300 ./target/release/span_overhead
 
-# Trace round trip: every event the traced machines write must read back,
-# with no line skipped as unparseable.
+# Trace round trip: every event the traced machines and the cache's traced
+# stream helper write must read back, with no line skipped as unparseable.
 echo "==> trace round trip  (timeout 300s)"
 timeout --kill-after=10 300 bash -c '
     set -euo pipefail
     trap "rm -f ci-trace.jsonl ci-analyze.out ci-analyze.err" EXIT
-    wrote=$(./target/release/vcache compare --tm 16 --trace ci-trace.jsonl \
-        | sed -n "s/^trace: \([0-9]*\) events -> .*/\1/p")
-    ./target/release/vcache analyze --trace ci-trace.jsonl >ci-analyze.out 2>ci-analyze.err
-    read=$(sed -n "s/^\([0-9]*\) events from .*/\1/p" ci-analyze.out)
-    if [ -z "$wrote" ] || [ "$wrote" != "$read" ]; then
-        echo "compare wrote ${wrote:-no} events, analyze read ${read:-no}"; exit 1
-    fi
-    if grep -q "skip" ci-analyze.err; then
-        echo "analyze skipped trace lines:"; head ci-analyze.err; exit 1
-    fi
+    # round_trip <vcache args...>: write ci-trace.jsonl, then analyze it.
+    round_trip() {
+        wrote=$(./target/release/vcache "$@" --trace ci-trace.jsonl \
+            | sed -n "s/^trace: \([0-9]*\) events -> .*/\1/p")
+        ./target/release/vcache analyze --trace ci-trace.jsonl >ci-analyze.out 2>ci-analyze.err
+        read=$(sed -n "s/^\([0-9]*\) events from .*/\1/p" ci-analyze.out)
+        if [ -z "$wrote" ] || [ "$wrote" != "$read" ]; then
+            echo "$1 wrote ${wrote:-no} events, analyze read ${read:-no}"; exit 1
+        fi
+        if grep -q "skip" ci-analyze.err; then
+            echo "analyze skipped trace lines:"; head ci-analyze.err; exit 1
+        fi
+    }
+    round_trip compare --tm 16
+    round_trip simulate --cache prime:13 --stride 8 --length 4096
 '
 
 echo "==> daemon smoke  (timeout 120s)"
